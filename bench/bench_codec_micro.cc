@@ -7,12 +7,12 @@
 //    harness (MB/s of recovered source data and symbols/s) across
 //    k ∈ {16, 32, 64, 128}, systematic-heavy vs dense-coded streams, and
 //    eager-equivalent vs lazy decoding; plus new-decoder-only cases at
-//    k ∈ {256, 512} (dense), a batch-decode case (shared scratch across
-//    blocks), and an MTU-sized 1400-byte-symbol case. --json writes the
-//    numbers (the committed BENCH_codec.json baseline at the repo root,
-//    produced by tools/bench.sh); --guard re-runs the harness and fails
-//    if any case regressed more than --max-regression (default 0.20)
-//    against the baseline file (tools/check.sh FMTCP_BENCH_GUARD=1).
+//    k ∈ {256, 512} (dense) and an MTU-sized 1400-byte-symbol case.
+//    --json writes the numbers (the committed BENCH_codec.json baseline
+//    at the repo root, produced by tools/bench.sh); --guard re-runs the
+//    harness and fails if any case regressed more than --max-regression
+//    (default 0.20) against the baseline file (tools/check.sh
+//    FMTCP_BENCH_GUARD=1).
 //    The harness also covers the GF(256) RLC ablation codec
 //    (gf256_dense_k* / gf256_systematic_k*) and the raw gf256 multiply
 //    kernel (gf256_mul_region vs gf256_mul_region_scalar — the
@@ -47,7 +47,6 @@
 #include "fountain/gf2_kernels.h"
 #include "fountain/gf256_kernels.h"
 #include "fountain/gf256_rlc.h"
-#include "fountain/lt_codec.h"
 #include "fountain/random_linear.h"
 
 namespace {
@@ -131,24 +130,6 @@ void BM_RankOnlyDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RankOnlyDecode)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_LtDecodeBlock(benchmark::State& state) {
-  const auto k = static_cast<std::uint32_t>(state.range(0));
-  const RobustSoliton dist(k, 0.1, 0.05);
-  Rng rng(17);
-  for (auto _ : state) {
-    state.PauseTiming();
-    LtEncoder encoder(1, make_deterministic_block(1, k, 160), dist,
-                      rng.fork());
-    state.ResumeTiming();
-    LtDecoder decoder(k, 160, dist);
-    while (!decoder.complete()) {
-      decoder.add_symbol(encoder.next_symbol());
-    }
-    benchmark::DoNotOptimize(decoder.recovered());
-  }
-}
-BENCHMARK(BM_LtDecodeBlock)->Arg(64)->Arg(256);
 
 void BM_CoefficientsFromSeed(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
@@ -245,7 +226,6 @@ constexpr std::size_t kMtuSymbolBytes = 1400;
 constexpr std::uint32_t kKs[] = {16, 32, 64, 128};
 constexpr std::uint32_t kLargeKs[] = {256, 512};  ///< New decoder only.
 constexpr int kStreamsPerCase = 16;
-constexpr int kBatchBlocks = 8;
 constexpr double kMinSeconds = 0.25;
 
 /// The pre-overhaul decoder, faithfully reproducing the seed
@@ -494,53 +474,6 @@ CaseResult run_case(const std::string& name, std::uint32_t k,
   return result;
 }
 
-/// Batch decode: feed kBatchBlocks decoders to completion, then decode
-/// them all through decode_batch() with one shared scratch — the
-/// receiver-side shape where table storage amortises across blocks.
-CaseResult run_batch_case(const std::string& name, std::uint32_t k,
-                          std::size_t symbol_bytes,
-                          const std::vector<std::vector<net::EncodedSymbol>>&
-                              streams) {
-  DecodeScratch scratch;
-  std::uint64_t blocks = 0;
-  std::uint64_t symbols_fed = 0;
-  std::size_t next = 0;
-  const auto start = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
-    std::vector<BlockDecoder> decoders;
-    decoders.reserve(kBatchBlocks);
-    std::vector<BlockDecoder*> ptrs;
-    for (int b = 0; b < kBatchBlocks; ++b) {
-      decoders.emplace_back(k, symbol_bytes, /*track_data=*/true,
-                            &bench_pool());
-      const auto& stream = streams[next];
-      next = (next + 1) % streams.size();
-      for (const auto& symbol : stream) {
-        if (decoders.back().complete()) break;
-        decoders.back().add_symbol(symbol);
-        ++symbols_fed;
-      }
-      FMTCP_CHECK(decoders.back().complete());
-      ptrs.push_back(&decoders.back());
-    }
-    const std::size_t decoded =
-        decode_batch(ptrs.data(), ptrs.size(), scratch);
-    FMTCP_CHECK(decoded == ptrs.size());
-    blocks += decoded;
-    elapsed = std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-  } while (elapsed < kMinSeconds);
-
-  CaseResult result;
-  result.name = name;
-  result.mbytes_per_sec = static_cast<double>(blocks) * k * symbol_bytes /
-                          elapsed / 1e6;
-  result.symbols_per_sec = static_cast<double>(symbols_fed) / elapsed;
-  return result;
-}
-
 /// Adapters giving both decoders the same (k, symbol_bytes) constructor
 /// and decode() shape for run_case.
 struct LazyAdapter {
@@ -677,18 +610,6 @@ std::vector<CaseResult> run_harness() {
     });
     std::printf("  %-20s                     lazy %8.1f MB/s\n",
                 name.c_str() + 5, r.mbytes_per_sec);
-    results.push_back(r);
-  }
-
-  // Batch decode across blocks, shared scratch.
-  if (case_enabled("batch_dense_k128")) {
-    const std::uint32_t k = 128;
-    const auto streams = make_streams(k, g_symbol_bytes, /*dense=*/true);
-    const CaseResult r = best_of(5, [&] {
-      return run_batch_case("batch_dense_k128", k, g_symbol_bytes, streams);
-    });
-    std::printf("  %-20s                     lazy %8.1f MB/s\n",
-                "batch_dense_k128", r.mbytes_per_sec);
     results.push_back(r);
   }
 

@@ -1,29 +1,17 @@
-// Sweep-throughput benchmark, two modes.
+// Grid-sweep engine: the fleet-scale sweep runner.
 //
-// Scaling mode (default): wall time and events/sec for a fixed cell
-// grid across a list of thread counts (--jobs=1,2,4,8), verifying on
-// the way that every mode produces results bit-identical to the serial
-// baseline. Each mode runs under a span-profiling session, so the JSON
-// (--json=FILE, committed as BENCH_sweep.json via tools/bench.sh)
-// carries the per-span aggregate breakdown alongside the wall numbers,
-// plus a "slowdown" analysis naming the span whose self time grew most
-// from jobs=1 to jobs=2 (waiting spans excluded — they are overlap, not
-// work). --trace-out=FILE writes a Chrome/Perfetto trace of the last
-// mode in the list.
-//
-// Grid mode (--grid): the fleet-scale engine. Builds the cartesian
-// product loss x RTT x path-asymmetry x block-size x protocol x seed
-// (hundreds to thousands of cells), streams one JSON line per cell to
-// --out in submission order as cells complete, and holds only a small
-// in-flight window in memory (SweepRunner::run_streaming). Lines carry
-// only deterministic fields, so the file is byte-identical at any
-// --jobs value, and because delivery is a completed prefix the file
-// doubles as the crash-resume manifest: --resume validates the intact
-// prefix of an interrupted run (dropping a torn tail line) and
-// continues from the first missing cell without recomputing anything.
+// Builds the cartesian product loss x RTT x path-asymmetry x block-size
+// x protocol x seed (hundreds to thousands of cells), streams one JSON
+// line per cell to --out in submission order as cells complete, and
+// holds only a small in-flight window in memory
+// (SweepRunner::run_streaming). Lines carry only deterministic fields,
+// so the file is byte-identical at any --jobs value, and because
+// delivery is a completed prefix the file doubles as the crash-resume
+// manifest: --resume validates the intact prefix of an interrupted run
+// (dropping a torn tail line) and continues from the first missing cell
+// without recomputing anything.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -31,166 +19,12 @@
 
 #include "common/check.h"
 #include "common/flags.h"
-#include "common/thread_pool.h"
 #include "harness/sweep.h"
-#include "harness/table1.h"
-#include "obs/trace/chrome_trace.h"
-#include "obs/trace/tracer.h"
 
 using namespace fmtcp;
 using namespace fmtcp::harness;
 
 namespace {
-
-struct ModeStats {
-  unsigned jobs = 0;
-  double wall_seconds = 0.0;
-  std::uint64_t events = 0;
-  obs::trace::TraceReport report;
-  double events_per_second() const {
-    return wall_seconds > 0 ? static_cast<double>(events) / wall_seconds
-                            : 0.0;
-  }
-};
-
-std::vector<SweepJob> build_grid(double seconds, int seeds) {
-  // Table-I cases 1-4 x {FMTCP, MPTCP} x seeds: a representative mix of
-  // loss rates (coding work) and clean paths (pure event churn).
-  std::vector<SweepJob> jobs;
-  for (int seed = 1; seed <= seeds; ++seed) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      for (Protocol protocol : {Protocol::kFmtcp, Protocol::kMptcp}) {
-        SweepJob job;
-        job.protocol = protocol;
-        job.scenario = table1_scenario(c);
-        job.scenario.duration = from_seconds(seconds);
-        job.scenario.seed = static_cast<std::uint64_t>(seed);
-        jobs.push_back(job);
-      }
-    }
-  }
-  return jobs;
-}
-
-/// "--jobs=1,2,4,8" -> {1,2,4,8}; 0 entries mean hardware concurrency.
-/// A serial (jobs=1) baseline is prepended when absent — every other
-/// mode's results are checked against it and speedups are relative to
-/// it.
-std::vector<unsigned> parse_jobs_list(const std::string& spec) {
-  std::vector<unsigned> out;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const long value = std::stol(item);
-    FMTCP_CHECK(value >= 0);
-    out.push_back(value == 0 ? ThreadPool::hardware_threads()
-                             : static_cast<unsigned>(value));
-  }
-  FMTCP_CHECK(!out.empty());
-  if (out.front() != 1) out.insert(out.begin(), 1);
-  return out;
-}
-
-ModeStats run_mode(const std::vector<SweepJob>& jobs, unsigned threads,
-                   bool capture_records,
-                   std::vector<RunResult>* results_out) {
-  obs::trace::TraceConfig config;
-  config.capture_records = capture_records;
-  obs::trace::start(config);
-
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<RunResult> results = run_parallel(jobs, threads);
-  const auto stop = std::chrono::steady_clock::now();
-
-  ModeStats stats;
-  stats.jobs = threads;
-  stats.wall_seconds =
-      std::chrono::duration<double>(stop - start).count();
-  for (const RunResult& r : results) stats.events += r.sim_events;
-  stats.report = obs::trace::stop();
-  if (results_out != nullptr) *results_out = std::move(results);
-  return stats;
-}
-
-void expect_identical(const std::vector<RunResult>& a,
-                      const std::vector<RunResult>& b) {
-  FMTCP_CHECK(a.size() == b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    FMTCP_CHECK(a[i].delivered_bytes == b[i].delivered_bytes);
-    FMTCP_CHECK(a[i].blocks_completed == b[i].blocks_completed);
-    FMTCP_CHECK(a[i].sim_events == b[i].sim_events);
-    FMTCP_CHECK(a[i].block_delays_ms == b[i].block_delays_ms);
-  }
-}
-
-/// Spans that measure *blocking on other threads' progress*: they
-/// overlap with real work, so their growth under contention explains
-/// nothing about where cycles went.
-bool is_waiting_span(const std::string& name) {
-  return name == "sweep.wait" || name == "sweep.run" ||
-         name == "threadpool.wait" || name == "threadpool.idle";
-}
-
-struct Slowdown {
-  bool valid = false;
-  unsigned reference_jobs = 0;
-  unsigned compared_jobs = 0;
-  std::string dominant_span;
-  double self_ms_reference = 0.0;
-  double self_ms_compared = 0.0;
-};
-
-/// Where did the extra wall time of the jobs=2 mode go, relative to the
-/// serial baseline? Largest positive self-time delta among working
-/// (non-waiting) spans.
-Slowdown analyze_slowdown(const std::vector<ModeStats>& modes) {
-  Slowdown slowdown;
-  const ModeStats* reference = nullptr;
-  const ModeStats* compared = nullptr;
-  for (const ModeStats& mode : modes) {
-    if (mode.jobs == 1 && reference == nullptr) reference = &mode;
-    if (mode.jobs == 2 && compared == nullptr) compared = &mode;
-  }
-  if (reference == nullptr || compared == nullptr) return slowdown;
-
-  double best_delta = 0.0;
-  for (const obs::trace::SpanAggregate& span : compared->report.spans) {
-    if (is_waiting_span(span.name)) continue;
-    const obs::trace::SpanAggregate* base =
-        reference->report.find(span.name);
-    const double base_self = base != nullptr ? base->self_ms : 0.0;
-    const double delta = span.self_ms - base_self;
-    if (delta > best_delta) {
-      best_delta = delta;
-      slowdown.valid = true;
-      slowdown.dominant_span = span.name;
-      slowdown.self_ms_reference = base_self;
-      slowdown.self_ms_compared = span.self_ms;
-    }
-  }
-  slowdown.reference_jobs = reference->jobs;
-  slowdown.compared_jobs = compared->jobs;
-  return slowdown;
-}
-
-void write_spans_json(std::FILE* file, const obs::trace::TraceReport& report,
-                      const char* indent) {
-  std::fprintf(file, "%s\"spans\": [", indent);
-  bool first = true;
-  for (const obs::trace::SpanAggregate& span : report.spans) {
-    std::fprintf(file,
-                 "%s\n%s  {\"name\": \"%s\", \"count\": %llu, "
-                 "\"total_ms\": %.3f, \"self_ms\": %.3f, "
-                 "\"p50_ms\": %.4f, \"p99_ms\": %.4f}",
-                 first ? "" : ",", indent, span.name.c_str(),
-                 static_cast<unsigned long long>(span.count),
-                 span.total_ms, span.self_ms, span.p50_ms, span.p99_ms);
-    first = false;
-  }
-  std::fprintf(file, "\n%s]", indent);
-}
-
-// --- Grid mode -------------------------------------------------------
 
 /// One cell of the cartesian grid: the job plus the axis coordinates
 /// that produced it (echoed into its JSONL line).
@@ -348,12 +182,13 @@ int run_grid(FlagParser& flags, double seconds, unsigned threads) {
       "resume", false, "continue an interrupted run from --out's prefix");
 
   const std::vector<GridCell> cells = build_grid_cells(axes, seconds);
+  SweepRunner runner(threads);
   std::printf(
       "grid: %zu cells (%zu loss x %zu delay2 x %zu delay1 x %zu blocks "
       "x %zu protocols x %d seeds) x %.0f simulated s, jobs=%u\n",
       cells.size(), axes.loss2.size(), axes.delay2_ms.size(),
       axes.delay1_ms.size(), axes.block_symbols.size(),
-      axes.protocols.size(), axes.seeds, seconds, threads);
+      axes.protocols.size(), axes.seeds, seconds, runner.jobs());
 
   std::string prefix;
   std::size_t first_cell = 0;
@@ -378,7 +213,6 @@ int run_grid(FlagParser& flags, double seconds, unsigned threads) {
   FMTCP_CHECK(std::fflush(out) == 0);
 
   const auto start = std::chrono::steady_clock::now();
-  SweepRunner runner(threads);
   for (std::size_t i = first_cell; i < cells.size(); ++i) {
     runner.submit(cells[i].job);
   }
@@ -417,134 +251,7 @@ int run_grid(FlagParser& flags, double seconds, unsigned threads) {
 
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
-  const bool grid_mode = flags.get_bool(
-      "grid", false, "fleet-scale grid mode (streaming JSONL, resumable)");
-  const double seconds = flags.get_double(
-      "seconds", grid_mode ? 2.0 : 10.0, "simulated seconds per cell");
-  const int seeds = flags.get_int("seeds", 2, "seeds per cell");
-  const std::string jobs_spec = flags.get_string(
-      "jobs", "0", "comma list of thread counts (0 = hardware)");
-  const std::string json_path =
-      flags.get_string("json", "", "write results as JSON to file");
-  const std::string trace_out_path = flags.get_string(
-      "trace-out", "", "write Chrome span trace of the last mode");
-
-  if (grid_mode) {
-    // Grid mode runs at a single thread count — the last --jobs entry
-    // (the parser prepends the serial baseline that scaling mode needs,
-    // so "--jobs=4" parses as {1,4}).
-    const std::vector<unsigned> jobs_list = parse_jobs_list(jobs_spec);
-    return run_grid(flags, seconds, jobs_list.back());
-  }
-
-  const std::vector<unsigned> jobs_list = parse_jobs_list(jobs_spec);
-  const std::vector<SweepJob> jobs = build_grid(seconds, seeds);
-  std::printf("sweep: %zu cells x %.0f simulated seconds, jobs {",
-              jobs.size(), seconds);
-  for (std::size_t i = 0; i < jobs_list.size(); ++i) {
-    std::printf("%s%u", i > 0 ? "," : "", jobs_list[i]);
-  }
-  std::printf("}\n");
-
-  std::vector<ModeStats> modes;
-  std::vector<RunResult> serial_results;
-  for (std::size_t i = 0; i < jobs_list.size(); ++i) {
-    const unsigned threads = jobs_list[i];
-    const bool capture =
-        !trace_out_path.empty() && i + 1 == jobs_list.size();
-    std::vector<RunResult> results;
-    modes.push_back(run_mode(jobs, threads, capture, &results));
-    const ModeStats& mode = modes.back();
-
-    if (i == 0) {
-      serial_results = std::move(results);
-      std::printf("jobs=%-2u   %6.2f s wall, %.2fM events/s\n",
-                  mode.jobs, mode.wall_seconds,
-                  mode.events_per_second() / 1e6);
-    } else {
-      expect_identical(serial_results, results);
-      std::printf("jobs=%-2u   %6.2f s wall, %.2fM events/s (%.2fx)\n",
-                  mode.jobs, mode.wall_seconds,
-                  mode.events_per_second() / 1e6,
-                  modes.front().wall_seconds / mode.wall_seconds);
-    }
-  }
-  std::printf("results:  all modes bit-identical to serial\n");
-
-  const Slowdown slowdown = analyze_slowdown(modes);
-  if (slowdown.valid) {
-    std::printf(
-        "slowdown: jobs=%u spends %+.0f ms more self time in '%s' than "
-        "jobs=%u (%.0f -> %.0f ms)\n",
-        slowdown.compared_jobs,
-        slowdown.self_ms_compared - slowdown.self_ms_reference,
-        slowdown.dominant_span.c_str(), slowdown.reference_jobs,
-        slowdown.self_ms_reference, slowdown.self_ms_compared);
-  }
-
-  if (!trace_out_path.empty()) {
-    obs::trace::write_chrome_trace(modes.back().report, trace_out_path);
-    std::printf("trace:    %zu records (jobs=%u) -> %s\n",
-                modes.back().report.records.size(), modes.back().jobs,
-                trace_out_path.c_str());
-  }
-
-  if (!json_path.empty()) {
-    std::FILE* file = std::fopen(json_path.c_str(), "w");
-    if (file == nullptr) {
-      std::perror(("cannot open " + json_path).c_str());
-      return 1;
-    }
-    // Host context: scaling numbers are meaningless without the core
-    // count (on a 1-core box every jobs>1 mode time-slices, so a mild
-    // slowdown is expected, not a regression).
-    std::fprintf(file,
-                 "{\n"
-                 "  \"host\": {\n"
-                 "    \"hardware_concurrency\": %u,\n"
-                 "    \"compiler\": \"%s\"\n"
-                 "  },\n"
-                 "  \"cells\": %zu,\n"
-                 "  \"simulated_seconds_per_cell\": %.1f,\n"
-                 "  \"total_sim_events\": %llu,\n"
-                 "  \"modes\": [",
-                 ThreadPool::hardware_threads(), __VERSION__, jobs.size(),
-                 seconds,
-                 static_cast<unsigned long long>(modes.front().events));
-    for (std::size_t i = 0; i < modes.size(); ++i) {
-      const ModeStats& mode = modes[i];
-      std::fprintf(file,
-                   "%s\n    {\n"
-                   "      \"jobs\": %u,\n"
-                   "      \"wall_seconds\": %.3f,\n"
-                   "      \"events_per_second\": %.0f,\n"
-                   "      \"speedup\": %.3f,\n",
-                   i > 0 ? "," : "", mode.jobs, mode.wall_seconds,
-                   mode.events_per_second(),
-                   modes.front().wall_seconds / mode.wall_seconds);
-      write_spans_json(file, mode.report, "      ");
-      std::fprintf(file, "\n    }");
-    }
-    std::fprintf(file, "\n  ],\n  \"identical_results\": true");
-    if (slowdown.valid) {
-      std::fprintf(
-          file,
-          ",\n  \"slowdown\": {\n"
-          "    \"reference_jobs\": %u,\n"
-          "    \"compared_jobs\": %u,\n"
-          "    \"dominant_span\": \"%s\",\n"
-          "    \"self_ms_reference\": %.3f,\n"
-          "    \"self_ms_compared\": %.3f,\n"
-          "    \"expected_on_host\": %s\n"
-          "  }",
-          slowdown.reference_jobs, slowdown.compared_jobs,
-          slowdown.dominant_span.c_str(), slowdown.self_ms_reference,
-          slowdown.self_ms_compared,
-          ThreadPool::hardware_threads() == 1 ? "true" : "false");
-    }
-    std::fprintf(file, "\n}\n");
-    FMTCP_CHECK(std::fclose(file) == 0);
-    std::printf("json:     -> %s\n", json_path.c_str());
-  }
-  return 0;
+  const double seconds =
+      flags.get_double("seconds", 2.0, "simulated seconds per cell");
+  return run_grid(flags, seconds, jobs_from_flags(flags));
 }

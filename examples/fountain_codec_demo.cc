@@ -1,14 +1,13 @@
 // Standalone fountain-codec demo: uses the coding library without any
 // networking. Encodes a block, simulates an erasure channel, decodes,
 // and reports the redundancy — then does the same with the GF(256) RLC
-// ablation and the sparse LT codec extension.
+// ablation.
 #include <cstdio>
 
 #include "common/rng.h"
 #include "fountain/decoder.h"
 #include "fountain/gf256_kernels.h"
 #include "fountain/gf256_rlc.h"
-#include "fountain/lt_codec.h"
 #include "fountain/random_linear.h"
 
 using namespace fmtcp;
@@ -85,30 +84,7 @@ int main() {
                 decoder.rank(), k, ok ? "byte-exact" : "FAILED");
     std::printf(
         "  (byte coefficients: dependent receptions ~256x rarer than "
-        "GF(2), at multiply-kernel decode cost)\n\n");
-  }
-
-  // --- Sparse LT codec with robust-soliton degrees (extension). ---
-  {
-    const RobustSoliton dist(k, 0.1, 0.05);
-    LtEncoder encoder(7, original, dist, rng.fork());
-    LtDecoder decoder(k, symbol_bytes, dist);
-    Rng channel = rng.fork();
-    std::uint64_t sent = 0;
-    while (!decoder.complete()) {
-      const net::EncodedSymbol symbol = encoder.next_symbol();
-      ++sent;
-      if (channel.bernoulli(channel_loss)) continue;
-      decoder.add_symbol(symbol);
-    }
-    const bool ok = decoder.decode().bytes() == original.bytes();
-    std::printf("LT codec (robust soliton, c=0.1, delta=0.05):\n");
-    std::printf("  sent %llu symbols, recovered %u/%u, decode %s\n",
-                static_cast<unsigned long long>(sent), decoder.recovered(),
-                k, ok ? "byte-exact" : "FAILED");
-    std::printf(
-        "  (sparse symbols decode by peeling; cheaper per symbol, more "
-        "overhead than the dense code at this k)\n");
+        "GF(2), at multiply-kernel decode cost)\n");
   }
   return 0;
 }

@@ -108,13 +108,6 @@ double BlockManager::k_tilde(
   return estimate;
 }
 
-double BlockManager::delta_tilde(
-    const SenderBlock& block,
-    const std::function<double(std::uint32_t)>& loss_of) const {
-  return fountain::field_decode_failure_probability(
-      params_.coding_field, block.k_hat, k_tilde(block, loss_of));
-}
-
 void BlockManager::on_symbols_sent(net::BlockId id, std::uint32_t subflow,
                                    std::uint32_t count) {
   SenderBlock* block = find(id);

@@ -83,11 +83,6 @@ class BlockManager {
   double k_tilde(const SenderBlock& block,
                  const std::function<double(std::uint32_t)>& loss_of) const;
 
-  /// δ̃_b (Def. 3): expected decoding failure probability from k̃_b.
-  double delta_tilde(
-      const SenderBlock& block,
-      const std::function<double(std::uint32_t)>& loss_of) const;
-
   // --- Event handlers -----------------------------------------------
 
   /// `count` fresh symbols of `block` entered subflow `f`'s window.

@@ -3,8 +3,6 @@
 #include <cstring>
 #include <utility>
 
-#include "fountain/gf256.h"
-
 namespace fmtcp::fountain {
 
 const char* coding_field_name(CodingField field) {
@@ -15,15 +13,6 @@ std::optional<CodingField> parse_coding_field(const char* name) {
   if (std::strcmp(name, "gf2") == 0) return CodingField::kGf2;
   if (std::strcmp(name, "gf256") == 0) return CodingField::kGf256;
   return std::nullopt;
-}
-
-double field_decode_failure_probability(CodingField field,
-                                        std::uint32_t k_hat,
-                                        double received) {
-  if (field == CodingField::kGf256) {
-    return gf256_decode_failure_probability(k_hat, received);
-  }
-  return decode_failure_probability(k_hat, received);
 }
 
 namespace {

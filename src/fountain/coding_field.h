@@ -23,11 +23,4 @@ const char* coding_field_name(CodingField field);
 /// Parses a --coding flag value; nullopt if unknown.
 std::optional<CodingField> parse_coding_field(const char* name);
 
-/// Decoding-failure probability after `received` random symbols of a
-/// k̂-symbol block, in the given field: Eq. 2's 2^-(received-k̂) for
-/// GF(2), the q = 256 union bound for GF(256). Drives δ̃ (Def. 3), so the
-/// sender's redundancy margin automatically shrinks for the denser field.
-double field_decode_failure_probability(CodingField field,
-                                        std::uint32_t k_hat, double received);
-
 }  // namespace fmtcp::fountain

@@ -838,16 +838,4 @@ std::uint64_t BlockDecoder::compose_rows_m4r(
   return bytes;
 }
 
-std::size_t decode_batch(BlockDecoder* const* decoders, std::size_t n,
-                         DecodeScratch& scratch) {
-  std::size_t decoded = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    BlockDecoder* dec = decoders[i];
-    if (dec == nullptr || !dec->complete()) continue;
-    dec->decode(scratch);
-    ++decoded;
-  }
-  return decoded;
-}
-
 }  // namespace fmtcp::fountain

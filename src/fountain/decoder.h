@@ -61,7 +61,7 @@ struct CodingMetrics {
 
 /// Reusable decode() workspace: solve tables, M4R payload tables,
 /// inactivation core state. One scratch serves any number of decoders
-/// (receiver-wide, or across a whole bench batch), so the table
+/// (receiver-wide, or across a bench's blocks), so the table
 /// allocations amortise across blocks instead of being paid per decode.
 /// Not thread-safe; use one per thread.
 class DecodeScratch {
@@ -235,12 +235,5 @@ class BlockDecoder {
   BitVector scratch_coeffs_;  ///< Reused across add_symbol calls.
   std::optional<BlockData> decoded_;
 };
-
-/// Decodes every complete(), not-yet-decoded decoder in `decoders`,
-/// sharing `scratch` so solve/table storage is allocated once for the
-/// whole batch. Returns the number of blocks decoded. Incomplete
-/// decoders are skipped (call again when more symbols arrive).
-std::size_t decode_batch(BlockDecoder* const* decoders, std::size_t n,
-                         DecodeScratch& scratch);
 
 }  // namespace fmtcp::fountain

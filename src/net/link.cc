@@ -7,26 +7,13 @@
 
 namespace fmtcp::net {
 
-namespace {
-
-std::unique_ptr<PacketQueue> make_queue(const LinkConfig& config,
-                                        sim::Simulator& simulator) {
-  if (config.discipline == QueueDiscipline::kRed) {
-    return std::make_unique<RedQueue>(config.red, simulator.fork_rng());
-  }
-  return std::make_unique<DropTailQueue>(config.queue_packets,
-                                         config.queue_bytes);
-}
-
-}  // namespace
-
 Link::Link(sim::Simulator& simulator, const LinkConfig& config,
            std::unique_ptr<LossModel> loss)
     : simulator_(simulator),
       config_(config),
       loss_(std::move(loss)),
       rng_(simulator.fork_rng()),
-      queue_(make_queue(config, simulator)) {
+      queue_(config.queue_packets, config.queue_bytes) {
   FMTCP_CHECK(config_.bandwidth_Bps > 0);
   FMTCP_CHECK(config_.prop_delay >= 0);
 }
@@ -40,15 +27,11 @@ void Link::trace(TraceEvent event, const Packet& p) const {
 void Link::send(Packet p) {
   ++sent_;
   if (tracer_ != nullptr) {
-    // The queue decision (possibly probabilistic, e.g. RED) happens in
-    // push; keep a clone so the outcome can be traced.
-    Packet copy = p.clone();
-    const bool pushed = queue_->push(std::move(p));
-    trace(pushed ? TraceEvent::kEnqueue : TraceEvent::kQueueDrop, copy);
-    if (!pushed) return;
-  } else if (!queue_->push(std::move(p))) {
-    return;
+    trace(queue_.would_overflow(p.size_bytes) ? TraceEvent::kQueueDrop
+                                              : TraceEvent::kEnqueue,
+          p);
   }
+  if (!queue_.push(std::move(p))) return;
   if (!busy_) start_transmission();
 }
 
@@ -69,9 +52,9 @@ SimTime Link::serialization_time(std::size_t bytes) const {
 
 void Link::start_transmission() {
   FMTCP_CHECK(!busy_);
-  if (queue_->empty()) return;
+  if (queue_.empty()) return;
   busy_ = true;
-  Packet p = queue_->pop();
+  Packet p = queue_.pop();
   const SimTime ser = serialization_time(p.size_bytes);
   simulator_.schedule_in(
       ser, "link.serialize", [this, p = std::move(p)]() mutable {
@@ -95,7 +78,7 @@ void Link::start_transmission() {
                                    sink_(std::move(p));
                                  });
         }
-        if (!queue_->empty()) start_transmission();
+        if (!queue_.empty()) start_transmission();
       });
 }
 

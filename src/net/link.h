@@ -19,8 +19,6 @@
 
 namespace fmtcp::net {
 
-enum class QueueDiscipline { kDropTail, kRed };
-
 /// Link configuration.
 struct LinkConfig {
   /// Transmission rate in bytes per second (default 12.5 MB/s == 100 Mb/s).
@@ -35,15 +33,11 @@ struct LinkConfig {
   /// do.
   SimTime prop_jitter_mean = 0;
 
-  /// Queue capacity in packets (0 = unlimited; drop-tail only).
+  /// Queue capacity in packets (0 = unlimited).
   std::size_t queue_packets = 200;
 
-  /// Queue capacity in bytes (0 = unlimited; drop-tail only).
+  /// Queue capacity in bytes (0 = unlimited).
   std::size_t queue_bytes = 0;
-
-  /// Queueing discipline; kRed uses `red` below instead of the caps.
-  QueueDiscipline discipline = QueueDiscipline::kDropTail;
-  RedConfig red;
 };
 
 class Link {
@@ -80,8 +74,7 @@ class Link {
   std::uint64_t sent_count() const { return sent_; }
   std::uint64_t delivered_count() const { return delivered_; }
   std::uint64_t channel_drop_count() const { return channel_drops_; }
-  std::uint64_t queue_drop_count() const { return queue_->drop_count(); }
-  const PacketQueue& queue() const { return *queue_; }
+  std::uint64_t queue_drop_count() const { return queue_.drop_count(); }
 
  private:
   void start_transmission();
@@ -92,7 +85,7 @@ class Link {
   LinkConfig config_;
   std::unique_ptr<LossModel> loss_;
   Rng rng_;
-  std::unique_ptr<PacketQueue> queue_;
+  DropTailQueue queue_;
   Sink sink_;
   PacketTracer* tracer_ = nullptr;
   std::uint32_t trace_link_id_ = 0;

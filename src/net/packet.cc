@@ -13,26 +13,6 @@ std::uint64_t next_packet_uid() {
   return g_next_uid.fetch_add(1, std::memory_order_relaxed);
 }
 
-Packet Packet::clone() const {
-  Packet copy;
-  copy.kind = kind;
-  copy.subflow = subflow;
-  copy.flow_tag = flow_tag;
-  copy.seq = seq;
-  copy.ack_next = ack_next;
-  copy.data_seq = data_seq;
-  copy.data_len = data_len;
-  copy.window = window;
-  copy.symbols = symbols;
-  copy.block_acks = block_acks;
-  copy.sack_ranges = sack_ranges;
-  copy.size_bytes = size_bytes;
-  copy.sent_at = sent_at;
-  copy.echo_sent_at = echo_sent_at;
-  copy.uid = uid;
-  return copy;
-}
-
 void finalize_size(Packet& p, std::size_t payload) {
   p.size_bytes = kHeaderBytes + payload;
 }

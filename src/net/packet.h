@@ -58,17 +58,13 @@ enum class PacketKind : std::uint8_t { kData, kAck };
 
 /// A simulated packet. Moved (never copied) through links — copying is
 /// deleted so an accidental copy of the payload vectors cannot sneak
-/// into the hot path; the rare observer that needs a duplicate (e.g.
-/// tracing both queue outcomes) must say so explicitly via clone().
+/// into the hot path.
 struct Packet {
   Packet() = default;
   Packet(const Packet&) = delete;
   Packet& operator=(const Packet&) = delete;
   Packet(Packet&&) = default;
   Packet& operator=(Packet&&) = default;
-
-  /// Explicit deep copy (payloads included). Off the hot path only.
-  Packet clone() const;
 
   PacketKind kind = PacketKind::kData;
 

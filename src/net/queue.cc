@@ -35,58 +35,4 @@ Packet DropTailQueue::pop() {
   return p;
 }
 
-RedQueue::RedQueue(const RedConfig& config, Rng rng)
-    : config_(config), rng_(rng) {
-  FMTCP_CHECK(config_.min_th_packets < config_.max_th_packets);
-  FMTCP_CHECK(config_.max_p > 0.0 && config_.max_p <= 1.0);
-  FMTCP_CHECK(config_.weight > 0.0 && config_.weight <= 1.0);
-  if (config_.limit_packets == 0) {
-    config_.limit_packets = 2 * config_.max_th_packets;
-  }
-}
-
-bool RedQueue::would_overflow(std::size_t /*bytes*/) const {
-  return queue_.size() >= config_.limit_packets;
-}
-
-bool RedQueue::push(Packet p) {
-  avg_ = (1.0 - config_.weight) * avg_ +
-         config_.weight * static_cast<double>(queue_.size());
-
-  bool drop = false;
-  if (queue_.size() >= config_.limit_packets) {
-    drop = true;  // Hard limit.
-  } else if (avg_ >= static_cast<double>(config_.max_th_packets)) {
-    drop = true;
-    ++early_drops_;
-  } else if (avg_ > static_cast<double>(config_.min_th_packets)) {
-    const double span = static_cast<double>(config_.max_th_packets -
-                                            config_.min_th_packets);
-    const double p_drop =
-        config_.max_p *
-        (avg_ - static_cast<double>(config_.min_th_packets)) / span;
-    if (rng_.bernoulli(p_drop)) {
-      drop = true;
-      ++early_drops_;
-    }
-  }
-
-  if (drop) {
-    ++drops_;
-    return false;
-  }
-  bytes_ += p.size_bytes;
-  queue_.push_back(std::move(p));
-  return true;
-}
-
-Packet RedQueue::pop() {
-  FMTCP_CHECK(!queue_.empty());
-  Packet p = std::move(queue_.front());
-  queue_.pop_front();
-  FMTCP_DCHECK(bytes_ >= p.size_bytes);
-  bytes_ -= p.size_bytes;
-  return p;
-}
-
 }  // namespace fmtcp::net

@@ -1,97 +1,40 @@
-// Link queues: drop-tail FIFO (the paper's setup) and RED active queue
-// management (ns-2's other staple) behind one interface.
+// Link queue: the drop-tail FIFO of the paper's setup.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 
-#include "common/rng.h"
 #include "net/packet.h"
 
 namespace fmtcp::net {
 
-/// FIFO packet queue with a drop policy decided at enqueue time.
-class PacketQueue {
- public:
-  virtual ~PacketQueue() = default;
-
-  /// Enqueues if the discipline admits the packet; returns false (and
-  /// counts a drop) otherwise.
-  virtual bool push(Packet p) = 0;
-
-  /// True if a push of `bytes` would be rejected right now. Advisory for
-  /// tracing; RED's probabilistic decision is made by push itself.
-  virtual bool would_overflow(std::size_t bytes) const = 0;
-
-  /// Pops the head; queue must be non-empty.
-  virtual Packet pop() = 0;
-
-  virtual bool empty() const = 0;
-  virtual std::size_t packets() const = 0;
-  virtual std::size_t bytes() const = 0;
-  virtual std::uint64_t drop_count() const = 0;
-};
-
 /// Byte- and packet-capacity-bounded FIFO with drop-tail semantics.
-class DropTailQueue final : public PacketQueue {
+class DropTailQueue {
  public:
   /// `max_packets` == 0 means unlimited packet count; `max_bytes` == 0
   /// means unlimited byte count.
   DropTailQueue(std::size_t max_packets, std::size_t max_bytes);
 
-  bool would_overflow(std::size_t bytes) const override;
-  bool push(Packet p) override;
-  Packet pop() override;
+  /// True if a push of `bytes` would be rejected right now.
+  bool would_overflow(std::size_t bytes) const;
 
-  bool empty() const override { return queue_.empty(); }
-  std::size_t packets() const override { return queue_.size(); }
-  std::size_t bytes() const override { return bytes_; }
-  std::uint64_t drop_count() const override { return drops_; }
+  /// Enqueues unless the queue is full; returns false (and counts a
+  /// drop) otherwise.
+  bool push(Packet p);
+
+  /// Pops the head; queue must be non-empty.
+  Packet pop();
+
+  bool empty() const { return queue_.empty(); }
+  std::size_t packets() const { return queue_.size(); }
+  std::size_t bytes() const { return bytes_; }
+  std::uint64_t drop_count() const { return drops_; }
 
  private:
   std::size_t max_packets_;
   std::size_t max_bytes_;
   std::size_t bytes_ = 0;
   std::uint64_t drops_ = 0;
-  std::deque<Packet> queue_;
-};
-
-/// Random Early Detection (Floyd & Jacobson 1993, simplified: packet
-/// units, no idle-time compensation). Early drops start once the EWMA of
-/// the queue length crosses min_th; beyond max_th everything drops.
-struct RedConfig {
-  std::size_t min_th_packets = 25;
-  std::size_t max_th_packets = 75;
-  /// Hard capacity (0 = 2 * max_th).
-  std::size_t limit_packets = 0;
-  double max_p = 0.1;  ///< Drop probability at max_th.
-  double weight = 0.002;  ///< EWMA weight w_q.
-};
-
-class RedQueue final : public PacketQueue {
- public:
-  RedQueue(const RedConfig& config, Rng rng);
-
-  bool would_overflow(std::size_t bytes) const override;
-  bool push(Packet p) override;
-  Packet pop() override;
-
-  bool empty() const override { return queue_.empty(); }
-  std::size_t packets() const override { return queue_.size(); }
-  std::size_t bytes() const override { return bytes_; }
-  std::uint64_t drop_count() const override { return drops_; }
-
-  double average_queue() const { return avg_; }
-  std::uint64_t early_drops() const { return early_drops_; }
-
- private:
-  RedConfig config_;
-  Rng rng_;
-  double avg_ = 0.0;
-  std::size_t bytes_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t early_drops_ = 0;
   std::deque<Packet> queue_;
 };
 

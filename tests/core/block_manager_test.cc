@@ -87,15 +87,6 @@ TEST(BlockManager, KTildeWeightsInFlightByLoss) {
   EXPECT_DOUBLE_EQ(f.manager.k_tilde(block, loss_of), 11.0);
 }
 
-TEST(BlockManager, DeltaTildeUsesEquationTwo) {
-  Fixture f;
-  SenderBlock& block = f.manager.ensure_block(0);
-  const auto no_loss = [](std::uint32_t) { return 0.0; };
-  EXPECT_EQ(f.manager.delta_tilde(block, no_loss), 1.0);  // k̃=0 < k̂.
-  f.manager.on_symbols_sent(0, 0, 10);  // k̃ = 10 = k̂ + 2.
-  EXPECT_DOUBLE_EQ(f.manager.delta_tilde(block, no_loss), 0.25);
-}
-
 TEST(BlockManager, AckAndLossDrainInFlight) {
   Fixture f;
   SenderBlock& block = f.manager.ensure_block(0);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,13 @@
 #include "fountain/gf256_kernels.h"
 
 namespace fmtcp::fountain {
+
+// Prints a test parameter as its kernel's name rather than its address,
+// so the registered test names are the same in every build.
+void PrintTo(const Gf256KernelOps* ops, std::ostream* os) {
+  *os << ops->name;
+}
+
 namespace {
 
 /// Restores the process-wide kernel selection after a test that switches

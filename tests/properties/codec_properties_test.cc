@@ -8,7 +8,6 @@
 #include "analysis/coding_analysis.h"
 #include "common/rng.h"
 #include "fountain/decoder.h"
-#include "fountain/lt_codec.h"
 #include "fountain/random_linear.h"
 
 namespace fmtcp::fountain {
@@ -102,29 +101,6 @@ TEST_P(FailureModelSweep, EquationTwoBoundsEmpiricalFailure) {
 
 INSTANTIATE_TEST_SUITE_P(Extras, FailureModelSweep,
                          ::testing::Values(0u, 1u, 2u, 4u, 6u));
-
-using LtParam = std::tuple<std::uint32_t, std::uint64_t>;
-
-class LtRoundTrip : public ::testing::TestWithParam<LtParam> {};
-
-TEST_P(LtRoundTrip, DecodesToOriginal) {
-  const auto [k, seed] = GetParam();
-  const RobustSoliton dist(k, 0.1, 0.05);
-  const BlockData original = make_deterministic_block(seed, k, 8);
-  LtEncoder encoder(seed, original, dist, Rng(seed + 1));
-  LtDecoder decoder(k, 8, dist);
-  int guard = 0;
-  while (!decoder.complete()) {
-    decoder.add_symbol(encoder.next_symbol());
-    ASSERT_LT(++guard, static_cast<int>(30 * k + 300));
-  }
-  EXPECT_EQ(decoder.decode().bytes(), original.bytes());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, LtRoundTrip,
-    ::testing::Combine(::testing::Values(4u, 16u, 64u, 256u),
-                       ::testing::Values(3u, 11u)));
 
 }  // namespace
 }  // namespace fmtcp::fountain

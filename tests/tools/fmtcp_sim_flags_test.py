@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""fmtcp_sim must reject out-of-range flag values with exit status 2 and
+a message naming the flag, and must run a surge schedule that starts at
+t=0.
+
+    fmtcp_sim_flags_test.py FMTCP_SIM
+"""
+import subprocess
+import sys
+
+# (argument, flag the error message must name)
+BAD_VALUES = [
+    ("--surge=5:abc", "--surge"),
+    ("--surge=5", "--surge"),
+    ("--surge=2:0.1,1:0.2", "--surge"),
+    ("--surge=5:1.0", "--surge"),
+    ("--duration=0", "--duration"),
+    ("--duration=-1", "--duration"),
+    ("--loss2=1.0", "--loss2"),
+    ("--loss1=-0.1", "--loss1"),
+    ("--delay2=-5", "--delay2"),
+    ("--bandwidth_mbps=0", "--bandwidth_mbps"),
+    ("--queue=-1", "--queue"),
+    ("--block_symbols=0", "--block_symbols"),
+    ("--delta=0", "--delta"),
+    ("--delta=1.5", "--delta"),
+    ("--buffer_kb=0", "--buffer_kb"),
+    ("--buffer_kb=-1", "--buffer_kb"),
+    ("--surge=1e300:0.1", "--surge"),
+    ("--duration=1e300", "--duration"),
+]
+
+
+def run(sim, *args):
+    return subprocess.run([sim, *args], capture_output=True, text=True,
+                          check=False)
+
+
+def main(argv):
+    sim = argv[1]
+    failures = []
+    for arg, flag in BAD_VALUES:
+        result = run(sim, "--duration=1", arg)  # A later value wins.
+        if result.returncode != 2 or flag not in result.stderr:
+            failures.append(f"{arg}: exit {result.returncode}, "
+                            f"stderr {result.stderr.strip()!r}")
+    good = run(sim, "--surge=0:0.3,2:0.1", "--duration=3")
+    if good.returncode != 0:
+        failures.append(f"--surge=0:0.3,2:0.1: exit {good.returncode}, "
+                        f"stderr {good.stderr.strip()!r}")
+    for failure in failures:
+        print(failure)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -1,10 +1,9 @@
 #!/bin/sh
-# Perf baseline: build the optimised benches and record sweep throughput
-# (serial vs parallel wall time, events/sec) into BENCH_sweep.json,
-# codec decode throughput (eager-equivalent vs lazy, MB/s + symbols/s)
-# into BENCH_codec.json, and event-core replay throughput (timer wheel
-# vs the frozen seed heap on recorded cell traces) into BENCH_sched.json
-# at the repo root, plus the scheduler microbench numbers on stdout.
+# Perf baseline: build the optimised benches and record codec decode
+# throughput (eager-equivalent vs lazy, MB/s + symbols/s) into
+# BENCH_codec.json and event-core replay throughput (timer wheel vs the
+# frozen seed heap on recorded cell traces) into BENCH_sched.json at the
+# repo root, plus the scheduler microbench numbers on stdout.
 #
 #   tools/bench.sh [build-dir]      (default: build)
 #
@@ -30,20 +29,7 @@ fi
 # committed BENCH_*.json numbers were recorded under.
 cmake -B "$build" -S "$repo"
 cmake --build "$build" -j "$(nproc)" --target \
-  bench_sweep bench_sim_micro bench_codec_micro
-
-# Scaling mode: serial baseline plus 2/4/8-thread pooled runs, each
-# under a span-profiling session. The JSON records per-mode wall time,
-# the span aggregate tables, the host's hardware_concurrency, and the
-# "slowdown" analysis naming the span whose self time grew most from
-# jobs=1 to jobs=2.
-"$build/bench/bench_sweep" --jobs=1,2,4,8 --json="$repo/BENCH_sweep.json"
-if [ "$(nproc)" = "1" ]; then
-  echo "bench.sh: NOTE: single-core host — pooled sweep runs are" \
-       "expected to be slower than serial here (the JSON records" \
-       "\"expected_on_host\": true); scaling numbers are only" \
-       "meaningful on a multi-core box."
-fi
+  bench_sim_micro bench_codec_micro
 
 # Codec decode-throughput baseline (tools/check.sh FMTCP_BENCH_GUARD=1
 # compares future runs against this file). Three separate processes,
@@ -67,5 +53,4 @@ fi
 # full-stack simulated-second cost). Informational; not recorded.
 "$build/bench/bench_sim_micro" --benchmark_min_time=0.2
 
-echo "bench.sh: wrote $repo/BENCH_sweep.json, $repo/BENCH_sched.json," \
-     "and $codec_json"
+echo "bench.sh: wrote $repo/BENCH_sched.json and $codec_json"

@@ -125,7 +125,7 @@ if [ "${FMTCP_TSAN:-0}" = "1" ]; then
   # covered by the ASan mode.
   (cd "$build" && ctest --output-on-failure -j "$(nproc)" \
     -R 'ThreadPool|SweepRunner|Sweep\.|PacketUid|UidsUnique|GlobalUids|SpanTracer')
-  "$build/bench/bench_sweep" --seconds=2 --seeds=1 --jobs=4 \
+  "$build/tools/fmtcp_sim" --seeds=4 --jobs=4 --duration=2 \
     --trace-out="$build/check_spans.json"
 
   echo "check.sh (tsan): all good"
@@ -165,7 +165,7 @@ FMTCP_FORCE_KERNEL=scalar "$build/tools/fmtcp_sim" --protocol=fmtcp \
 # JSONL at any job count, and resuming from a torn file (half the lines
 # plus a truncated tail) must reproduce the same bytes without
 # recomputing the completed prefix.
-grid_flags="--grid --grid-loss=0,0.05 --grid-delay2=50,100 \
+grid_flags="--grid-loss=0,0.05 --grid-delay2=50,100 \
   --grid-delay1=100 --grid-blocks=64 --grid-seeds=1 --seconds=1"
 "$build/bench/bench_sweep" $grid_flags --jobs=1 \
   --out="$build/check_grid_serial.jsonl" > /dev/null

@@ -13,7 +13,9 @@
 //   fmtcp_sim --protocol=fmtcp --log-level=debug --duration=2
 //   fmtcp_sim --protocol=fmtcp --profile --duration=10
 //   fmtcp_sim --protocol=fmtcp --trace-out=trace.json --duration=10
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -46,22 +48,47 @@ Protocol parse_protocol(const std::string& name) {
   std::exit(2);
 }
 
-/// Parses "t1:rate1,t2:rate2,..." into a loss schedule (seconds:rate).
+/// Upper bound on every time given in seconds, so it converts to the
+/// nanosecond clock without overflow (about 31 years).
+constexpr double kMaxSeconds = 1e9;
+
+/// Exits 2 naming `flag` unless `ok`, so an out-of-range value is a
+/// usage error rather than a CHECK abort deep in the run.
+void require(bool ok, const char* flag, const char* range) {
+  if (ok) return;
+  std::fprintf(stderr, "--%s must be %s\n", flag, range);
+  std::exit(2);
+}
+
+/// Parses "t1:rate1,t2:rate2,..." into a loss schedule (seconds:rate)
+/// that starts at `initial_rate`; an entry at t=0 replaces that rate.
 std::vector<net::TimeVaryingLoss::Step> parse_surge(
     const std::string& spec, double initial_rate) {
-  std::vector<net::TimeVaryingLoss::Step> steps = {{0, initial_rate}};
+  std::vector<net::TimeVaryingLoss::Step> steps;
   std::stringstream stream(spec);
   std::string item;
   while (std::getline(stream, item, ',')) {
-    const std::size_t colon = item.find(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "bad --surge entry '%s' (want t:rate)\n",
+    char* colon = nullptr;
+    const double t = std::strtod(item.c_str(), &colon);
+    char* end = colon;
+    const double rate = *colon == ':' ? std::strtod(colon + 1, &end) : 0.0;
+    const bool in_range = t >= 0 && t <= kMaxSeconds;
+    const SimTime start = in_range ? from_seconds(t) : 0;
+    const bool ok = colon != item.c_str() && *colon == ':' &&
+                    end != colon + 1 && *end == '\0' && in_range &&
+                    (steps.empty() || start > steps.back().start) &&
+                    rate >= 0.0 && rate < 1.0;
+    if (!ok) {
+      std::fprintf(stderr,
+                   "bad --surge entry '%s' (want t:rate, t >= 0 and "
+                   "increasing, rate in [0,1))\n",
                    item.c_str());
       std::exit(2);
     }
-    steps.push_back(
-        {from_seconds(std::stod(item.substr(0, colon))),
-         std::stod(item.substr(colon + 1))});
+    steps.push_back({start, rate});
+  }
+  if (steps.empty() || steps.front().start != 0) {
+    steps.insert(steps.begin(), {0, initial_rate});
   }
   return steps;
 }
@@ -133,13 +160,14 @@ int main(int argc, char** argv) {
       flags.get_double("delay2", 100.0, "path-2 one-way delay (ms)");
   scenario.path2.loss =
       flags.get_double("loss2", 0.1, "path-2 loss rate [0,1)");
-  scenario.bandwidth_Bps =
-      flags.get_double("bandwidth_mbps", 5.0, "per-path rate (Mb/s)") *
-      1e6 / 8.0;
-  scenario.queue_packets = static_cast<std::size_t>(
-      flags.get_int("queue", 100, "drop-tail queue (packets)"));
-  scenario.duration = from_seconds(
-      flags.get_double("duration", 60.0, "simulated seconds"));
+  const double bandwidth_mbps =
+      flags.get_double("bandwidth_mbps", 5.0, "per-path rate (Mb/s)");
+  scenario.bandwidth_Bps = bandwidth_mbps * 1e6 / 8.0;
+  const std::int64_t queue_packets =
+      flags.get_int("queue", 100, "drop-tail queue (packets)");
+  scenario.queue_packets = static_cast<std::size_t>(queue_packets);
+  const double duration_s =
+      flags.get_double("duration", 60.0, "simulated seconds");
   scenario.seed = static_cast<std::uint64_t>(
       flags.get_int("seed", 1, "RNG seed (reproducible runs)"));
 
@@ -151,8 +179,9 @@ int main(int argc, char** argv) {
   }
 
   ProtocolOptions options = ProtocolOptions::defaults();
-  options.fmtcp.block_symbols = static_cast<std::uint32_t>(flags.get_int(
-      "block_symbols", options.fmtcp.block_symbols, "k-hat"));
+  const std::int64_t block_symbols = flags.get_int(
+      "block_symbols", options.fmtcp.block_symbols, "k-hat");
+  options.fmtcp.block_symbols = static_cast<std::uint32_t>(block_symbols);
   options.fmtcp.delta_hat = flags.get_double(
       "delta", options.fmtcp.delta_hat, "max decode-failure prob");
   options.fmtcp.systematic =
@@ -176,8 +205,9 @@ int main(int argc, char** argv) {
   if (flags.get_bool("cubic", false, "CUBIC instead of Reno")) {
     options.subflow.congestion = tcp::CongestionAlgo::kCubic;
   }
-  options.mptcp_receive_buffer = static_cast<std::size_t>(flags.get_int(
-      "buffer_kb", 128, "MPTCP receive buffer (KB)")) * 1024;
+  const std::int64_t buffer_kb =
+      flags.get_int("buffer_kb", 128, "MPTCP receive buffer (KB)");
+  options.mptcp_receive_buffer = static_cast<std::size_t>(buffer_kb) * 1024;
 
   const int seed_count =
       flags.get_int("seeds", 1, "replicate across N seeds (seed..seed+N-1)");
@@ -206,6 +236,30 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown flag --%s (see --help)\n", flag.c_str());
     return 2;
   }
+  require(scenario.path1.delay_ms >= 0 &&
+              scenario.path1.delay_ms <= kMaxSeconds * 1e3,
+          "delay1", "in [0, 1e12] ms");
+  require(scenario.path2.delay_ms >= 0 &&
+              scenario.path2.delay_ms <= kMaxSeconds * 1e3,
+          "delay2", "in [0, 1e12] ms");
+  require(scenario.path1.loss >= 0 && scenario.path1.loss < 1, "loss1",
+          "in [0,1)");
+  require(scenario.path2.loss >= 0 && scenario.path2.loss < 1, "loss2",
+          "in [0,1)");
+  // At 0.001 Mb/s a full packet serialises in about 10 s; much slower
+  // rates overflow the clock.
+  require(bandwidth_mbps >= 0.001, "bandwidth_mbps", ">= 0.001");
+  require(queue_packets >= 0, "queue", ">= 0");
+  require(duration_s > 0 && duration_s <= kMaxSeconds &&
+              from_seconds(duration_s) > 0,
+          "duration", "in (0, 1e9] s");
+  scenario.duration = from_seconds(duration_s);
+  require(block_symbols > 0 && block_symbols <= UINT32_MAX, "block_symbols",
+          "in [1, 2^32)");
+  require(options.fmtcp.delta_hat > 0 && options.fmtcp.delta_hat < 1,
+          "delta", "in (0,1)");
+  require(buffer_kb > 0 && buffer_kb <= (std::int64_t{1} << 30), "buffer_kb",
+          "in [1, 2^30]");
 
   set_log_level(parse_log_level(log_level_name));
 

@@ -5,9 +5,9 @@
 //     CsvTracer) → per-link statistics.
 //   - JSONL event timelines written by `fmtcp_sim --timeline=FILE` →
 //     per-subflow and per-block summaries (pass --timeline).
-//   - Chrome span traces written by `fmtcp_sim --trace-out=FILE` (or
-//     `bench_sweep --trace-out=FILE`) → per-span-name aggregate table
-//     with exact percentiles (pass --spans).
+//   - Chrome span traces written by `fmtcp_sim --trace-out=FILE` →
+//     per-span-name aggregate table with exact percentiles (pass
+//     --spans).
 //
 //   fmtcp_sim --protocol=fmtcp --trace=/tmp/run.csv --duration=30
 //   trace_summary /tmp/run.csv
