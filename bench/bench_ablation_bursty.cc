@@ -6,14 +6,11 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/hmtp.h"
 #include "common/flags.h"
 #include "common/thread_pool.h"
-#include "core/connection.h"
 #include "harness/printer.h"
 #include "harness/scenario.h"
 #include "harness/sweep.h"
-#include "mptcp/connection.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 
@@ -56,30 +53,15 @@ CellResult run_cell(const BurstShape& shape, Protocol protocol) {
   topology.path(1).set_forward_loss(
       std::make_unique<net::GilbertElliottLoss>(ge));
 
+  std::unique_ptr<tcp::Connection> connection =
+      make_connection(protocol, simulator, options, nullptr);
+  connection->wire(topology);
+  connection->start();
+  simulator.run_until(scenario.duration);
   CellResult result;
-  if (protocol == Protocol::kFmtcp) {
-    core::FmtcpConnectionConfig config;
-    config.params = options.fmtcp;
-    config.subflow = options.subflow;
-    core::FmtcpConnection connection(simulator, topology, config);
-    connection.start();
-    simulator.run_until(scenario.duration);
-    result.goodput = connection.goodput().mean_rate_MBps(scenario.duration);
-    result.delay = connection.block_delays().mean_delay_ms();
-    result.jitter = connection.block_delays().jitter_ms();
-  } else {
-    mptcp::MptcpConnectionConfig config;
-    config.subflow = options.subflow;
-    config.sender.segment_bytes = options.subflow.mss_payload;
-    config.sender.metric_block_bytes = options.fmtcp.block_bytes();
-    config.receive_buffer_bytes = options.mptcp_receive_buffer;
-    mptcp::MptcpConnection connection(simulator, topology, config);
-    connection.start();
-    simulator.run_until(scenario.duration);
-    result.goodput = connection.goodput().mean_rate_MBps(scenario.duration);
-    result.delay = connection.block_delays().mean_delay_ms();
-    result.jitter = connection.block_delays().jitter_ms();
-  }
+  result.goodput = connection->goodput().mean_rate_MBps(scenario.duration);
+  result.delay = connection->block_delays().mean_delay_ms();
+  result.jitter = connection->block_delays().jitter_ms();
   return result;
 }
 

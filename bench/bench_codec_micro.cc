@@ -21,11 +21,12 @@
 //    active kernels differ from the baseline's skips (exit 0) rather
 //    than compare across unlike machines, and a full guard run fails if
 //    any committed case is no longer measured by the harness.
-//  - --cases=REGEX restricts the harness (json and guard modes) to case
-//    names matching the regex; a filtered --json run keeps the previous
-//    recordings of the cases it skipped.
+//  - --cases=REGEX (POSIX extended) restricts the harness (json and
+//    guard modes) to case names matching the regex; a filtered --json
+//    run keeps the previous recordings of the cases it skipped.
 //  - --symbol-bytes=N changes the harness's default symbol size (160).
 #include <benchmark/benchmark.h>
+#include <regex.h>
 
 #include <algorithm>
 #include <bit>
@@ -34,7 +35,6 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -215,12 +215,27 @@ BENCHMARK(BM_Gf256MulRegion)->Arg(160)->Arg(1400)->Arg(65536);
 // --------------------------------------------------------------------------
 
 std::size_t g_symbol_bytes = 160;  ///< --symbol-bytes=N overrides.
-std::optional<std::regex> g_cases_filter;  ///< --cases=REGEX overrides.
+
+/// The --cases=REGEX filter. POSIX <regex.h> rather than std::regex:
+/// GCC 12's <regex> fails -Werror=maybe-uninitialized in sanitizer
+/// builds.
+struct CasesFilter {
+  CasesFilter() = default;
+  CasesFilter(const CasesFilter&) = delete;
+  CasesFilter& operator=(const CasesFilter&) = delete;
+  ~CasesFilter() {
+    if (active) regfree(&regex);
+  }
+
+  regex_t regex{};
+  bool active = false;
+};
+CasesFilter g_cases_filter;
 
 /// True when `name` should run under the active --cases filter.
 bool case_enabled(const std::string& name) {
-  return !g_cases_filter.has_value() ||
-         std::regex_search(name, *g_cases_filter);
+  return !g_cases_filter.active ||
+         regexec(&g_cases_filter.regex, name.c_str(), 0, nullptr, 0) == 0;
 }
 constexpr std::size_t kMtuSymbolBytes = 1400;
 constexpr std::uint32_t kKs[] = {16, 32, 64, 128};
@@ -723,7 +738,7 @@ void write_json(const std::string& path, std::vector<CaseResult> results,
       }
     }
   }
-  if (g_cases_filter.has_value()) {
+  if (g_cases_filter.active) {
     // A filtered re-recording keeps the previous numbers of every case
     // it skipped, so --cases cannot silently shrink the baseline.
     const std::string prev = read_file(path);
@@ -811,7 +826,7 @@ int run_guard(const std::string& baseline_path, double max_regression) {
 
   const std::vector<CaseResult> results = run_harness();
   int failures = 0;
-  if (!g_cases_filter.has_value()) {
+  if (!g_cases_filter.active) {
     // Completeness: every committed case must still be measured by a
     // full harness run, or a dropped case would silently leave the gate.
     for (const std::string& name : baseline_case_names(json)) {
@@ -863,13 +878,16 @@ int main(int argc, char** argv) {
   }
   const std::optional<std::string> cases = flag_value(argc, argv, "cases");
   if (cases.has_value()) {
-    try {
-      g_cases_filter.emplace(*cases);
-    } catch (const std::regex_error& e) {
+    const int error = regcomp(&g_cases_filter.regex, cases->c_str(),
+                              REG_EXTENDED | REG_NOSUB);
+    if (error != 0) {
+      char message[256];
+      regerror(error, &g_cases_filter.regex, message, sizeof message);
       std::fprintf(stderr, "bad --cases regex '%s': %s\n", cases->c_str(),
-                   e.what());
+                   message);
       return 2;
     }
+    g_cases_filter.active = true;
   }
   const std::optional<std::string> json_path =
       flag_value(argc, argv, "json");

@@ -23,6 +23,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,7 +32,6 @@
 #include "core/connection.h"
 #include "harness/scenario.h"
 #include "json_baseline.h"
-#include "mptcp/connection.h"
 #include "net/topology.h"
 #include "sim/reference_scheduler.h"
 #include "sim/scheduler.h"
@@ -197,9 +197,11 @@ class TraceRecorder : public sim::SchedulerOpRecorder {
   std::vector<Location> locations_;
 };
 
-/// A representative FMTCP sweep cell (two asymmetric-quality paths,
-/// real coding work driving retransmission and block timers).
-Trace record_fmtcp_cell(double seconds) {
+/// A representative sweep cell over two asymmetric-quality paths. FMTCP
+/// adds real coding work driving retransmission and block timers; MPTCP
+/// has no coding but heavy per-segment timer re-arm churn, the
+/// cancel-dominated pattern.
+Trace record_cell(harness::Protocol protocol, double seconds) {
   Trace trace;
   TraceRecorder recorder(&trace);
   sim::Simulator sim(1);
@@ -209,46 +211,16 @@ Trace record_fmtcp_cell(double seconds) {
   scenario.path2 = {100.0, 0.05};
   net::Topology topology(sim, {scenario.path_config(scenario.path1),
                                scenario.path_config(scenario.path2)});
-  const harness::ProtocolOptions options =
-      harness::ProtocolOptions::defaults();
-  core::FmtcpConnectionConfig config;
-  config.params = options.fmtcp;
-  config.subflow = options.subflow;
-  core::FmtcpConnection connection(sim, topology, config);
-  connection.start();
+  const std::unique_ptr<tcp::Connection> connection =
+      harness::make_connection(protocol, sim,
+                               harness::ProtocolOptions::defaults(),
+                               nullptr);
+  connection->wire(topology);
+  connection->start();
 
   sim.run_until(from_seconds(seconds));
   // Detach before teardown: destructor-time cancels are not part of the
   // workload being modelled.
-  sim.scheduler().set_op_recorder(nullptr);
-  trace.horizon = from_seconds(seconds);
-  return trace;
-}
-
-/// The MPTCP counterpart: no coding, but heavy per-segment timer
-/// re-arm churn — the cancel-dominated pattern.
-Trace record_mptcp_cell(double seconds) {
-  Trace trace;
-  TraceRecorder recorder(&trace);
-  sim::Simulator sim(1);
-  sim.scheduler().set_op_recorder(&recorder);
-
-  harness::Scenario scenario;
-  scenario.path2 = {100.0, 0.05};
-  net::Topology topology(sim, {scenario.path_config(scenario.path1),
-                               scenario.path_config(scenario.path2)});
-  const harness::ProtocolOptions options =
-      harness::ProtocolOptions::defaults();
-  mptcp::MptcpConnectionConfig config;
-  config.subflow = options.subflow;
-  config.sender.segment_bytes = options.subflow.mss_payload;
-  config.sender.metric_block_bytes = options.fmtcp.block_bytes();
-  config.sender.scheduler = options.mptcp_scheduler;
-  config.receive_buffer_bytes = options.mptcp_receive_buffer;
-  mptcp::MptcpConnection connection(sim, topology, config);
-  connection.start();
-
-  sim.run_until(from_seconds(seconds));
   sim.scheduler().set_op_recorder(nullptr);
   trace.horizon = from_seconds(seconds);
   return trace;
@@ -327,8 +299,8 @@ HarnessReport run_harness() {
     const char* name;
     Trace trace;
   } traces[] = {
-      {"fmtcp_cell", record_fmtcp_cell(4.0)},
-      {"mptcp_cell", record_mptcp_cell(4.0)},
+      {"fmtcp_cell", record_cell(harness::Protocol::kFmtcp, 4.0)},
+      {"mptcp_cell", record_cell(harness::Protocol::kMptcp, 4.0)},
   };
   for (const auto& [name, trace] : traces) {
     const std::uint64_t executed =

@@ -12,7 +12,9 @@
 // without recomputing anything.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,32 +39,35 @@ struct GridCell {
   std::uint64_t seed = 0;
 };
 
-std::vector<double> parse_double_list(const std::string& spec) {
-  std::vector<double> out;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) out.push_back(std::stod(item));
-  FMTCP_CHECK(!out.empty());
-  return out;
-}
-
-Protocol parse_protocol(const std::string& name) {
-  if (name == "fmtcp") return Protocol::kFmtcp;
-  if (name == "mptcp") return Protocol::kMptcp;
-  if (name == "hmtp") return Protocol::kHmtp;
-  FMTCP_CHECK(name == "fixed-rate");
-  return Protocol::kFixedRate;
-}
-
-std::vector<Protocol> parse_protocol_list(const std::string& spec) {
-  std::vector<Protocol> out;
-  std::stringstream stream(spec);
+/// Reads the comma-list flag `name`, turning each entry into a T with
+/// `parse`; exits 2 naming the flag on an empty list or an entry `parse`
+/// rejects.
+template <typename T, typename Parse>
+std::vector<T> get_list(FlagParser& flags, const char* name,
+                        const char* fallback, const char* help,
+                        Parse parse) {
+  std::vector<T> out;
+  std::stringstream stream(flags.get_string(name, fallback, help));
   std::string item;
   while (std::getline(stream, item, ',')) {
-    out.push_back(parse_protocol(item));
+    const std::optional<T> value = parse(item);
+    if (!value) {
+      std::fprintf(stderr, "--%s: bad entry '%s'\n", name, item.c_str());
+      std::exit(2);
+    }
+    out.push_back(*value);
   }
-  FMTCP_CHECK(!out.empty());
+  if (out.empty()) {
+    std::fprintf(stderr, "--%s: empty list\n", name);
+    std::exit(2);
+  }
   return out;
+}
+
+std::optional<std::uint32_t> parse_block_symbols(const std::string& item) {
+  const std::optional<double> blocks = parse_double(item);
+  if (!blocks || *blocks < 1 || *blocks > UINT32_MAX) return std::nullopt;
+  return static_cast<std::uint32_t>(*blocks);
 }
 
 /// Grid axis lists. Iteration order (outer to inner): seed, protocol,
@@ -160,20 +165,22 @@ std::size_t scan_resume_prefix(const std::string& path, std::string* prefix) {
 
 int run_grid(FlagParser& flags, double seconds, unsigned threads) {
   GridAxes axes;
-  axes.loss2 = parse_double_list(flags.get_string(
-      "grid-loss", "0,0.005,0.01,0.02,0.05,0.1", "path-2 loss axis"));
-  axes.delay2_ms = parse_double_list(flags.get_string(
-      "grid-delay2", "50,100,150,200", "path-2 one-way delay axis (ms)"));
-  axes.delay1_ms = parse_double_list(flags.get_string(
-      "grid-delay1", "50,100,150,200",
-      "path-1 one-way delay axis (ms) — path asymmetry"));
-  for (double blocks : parse_double_list(flags.get_string(
-           "grid-blocks", "16,64,128", "block size axis (source symbols)"))) {
-    FMTCP_CHECK(blocks >= 1);
-    axes.block_symbols.push_back(static_cast<std::uint32_t>(blocks));
-  }
-  axes.protocols = parse_protocol_list(flags.get_string(
-      "grid-protocols", "fmtcp,mptcp", "protocol axis (comma list)"));
+  axes.loss2 = get_list<double>(flags, "grid-loss",
+                                "0,0.005,0.01,0.02,0.05,0.1",
+                                "path-2 loss axis", parse_double);
+  axes.delay2_ms =
+      get_list<double>(flags, "grid-delay2", "50,100,150,200",
+                       "path-2 one-way delay axis (ms)", parse_double);
+  axes.delay1_ms = get_list<double>(
+      flags, "grid-delay1", "50,100,150,200",
+      "path-1 one-way delay axis (ms) — path asymmetry", parse_double);
+  axes.block_symbols = get_list<std::uint32_t>(
+      flags, "grid-blocks", "16,64,128", "block size axis (source symbols)",
+      parse_block_symbols);
+  axes.protocols = get_list<Protocol>(
+      flags, "grid-protocols", "fmtcp,mptcp",
+      "protocol axis (comma list of fmtcp|mptcp|hmtp|fixed-rate)",
+      parse_protocol);
   axes.seeds = static_cast<int>(flags.get_int("grid-seeds", 1,
                                               "seeds per grid point"));
   const std::string out_path =

@@ -101,7 +101,8 @@ int main() {
     baselines::HmtpConnectionConfig config;
     config.params = coded_params();
     config.subflow = subflow_config();
-    baselines::HmtpConnection connection(simulator, topology, config);
+    baselines::HmtpConnection connection(simulator, config);
+    connection.wire(topology);
     connection.start();
     const double seconds = run_to_completion(simulator, [&] {
       return connection.receiver().blocks_delivered() >= kFileBlocks;
@@ -119,7 +120,8 @@ int main() {
     config.params.total_blocks = kFileBlocks;
     config.params.assumed_loss = 0.02;
     config.subflow = subflow_config();
-    baselines::FixedRateConnection connection(simulator, topology, config);
+    baselines::FixedRateConnection connection(simulator, config);
+    connection.wire(topology);
     connection.start();
     const double seconds = run_to_completion(simulator, [&] {
       return connection.receiver().blocks_delivered() >= kFileBlocks;

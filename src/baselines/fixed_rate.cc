@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "tcp/wiring.h"
 
 namespace fmtcp::baselines {
 
@@ -224,25 +223,24 @@ void FixedRateReceiver::fill_ack(std::uint32_t /*subflow*/,
   }
 }
 
-FixedRateConnection::FixedRateConnection(
-    sim::Simulator& simulator, net::Topology& topology,
-    const FixedRateConnectionConfig& config)
-    : goodput_(config.goodput_bin) {
-  sender_ = std::make_unique<FixedRateSender>(simulator, config.params,
-                                              &delays_);
-  receiver_ = std::make_unique<FixedRateReceiver>(simulator, config.params,
-                                                  &goodput_);
+namespace {
 
+tcp::WiringOptions wiring_options(const FixedRateConnectionConfig& config) {
   tcp::WiringOptions options;
   options.subflow = config.subflow;
   options.fresh_payload_on_retransmit = true;
-  options.seed_loss_hint = config.seed_loss_hint;
-
-  tcp::WiredSubflows wired =
-      tcp::wire_subflows(simulator, topology, *sender_, *receiver_, options);
-  subflows_ = std::move(wired.subflows);
-  subflow_receivers_ = std::move(wired.subflow_receivers);
-  for (auto& subflow : subflows_) sender_->register_subflow(subflow.get());
+  return options;
 }
+
+}  // namespace
+
+FixedRateConnection::FixedRateConnection(
+    sim::Simulator& simulator, const FixedRateConnectionConfig& config)
+    : tcp::Connection(simulator, config.goodput_bin,
+                      wiring_options(config), /*use_lia=*/false),
+      sender_(std::make_unique<FixedRateSender>(simulator, config.params,
+                                                &delays_)),
+      receiver_(std::make_unique<FixedRateReceiver>(
+          simulator, config.params, &goodput_)) {}
 
 }  // namespace fmtcp::baselines

@@ -21,6 +21,7 @@
 #include "net/topology.h"
 #include "sim/simulator.h"
 #include "tcp/subflow.h"
+#include "tcp/wiring.h"
 
 namespace fmtcp::baselines {
 
@@ -126,30 +127,37 @@ class FixedRateReceiver final : public tcp::DataSink {
 struct FixedRateConnectionConfig {
   FixedRateParams params;
   tcp::SubflowConfig subflow;
-  bool seed_loss_hint = true;
   SimTime goodput_bin = kSecond;
 };
 
-class FixedRateConnection {
+/// Fixed-rate endpoints over tcp::Connection's subflows.
+class FixedRateConnection final : public tcp::Connection {
  public:
-  FixedRateConnection(sim::Simulator& simulator, net::Topology& topology,
+  /// Unwired: wire() or attach() the subflows, then start().
+  FixedRateConnection(sim::Simulator& simulator,
                       const FixedRateConnectionConfig& config);
 
-  void start() { sender_->start(); }
+  void start() override { sender_->start(); }
 
   FixedRateSender& sender() { return *sender_; }
   FixedRateReceiver& receiver() { return *receiver_; }
 
-  const metrics::GoodputMeter& goodput() const { return goodput_; }
-  const metrics::BlockDelayRecorder& block_delays() const { return delays_; }
+  std::uint64_t symbols_sent() const override {
+    return sender_->symbols_sent();
+  }
+  std::uint64_t redundant_symbols() const override {
+    return receiver_->redundant_symbols();
+  }
 
  private:
-  metrics::GoodputMeter goodput_;
-  metrics::BlockDelayRecorder delays_;
+  tcp::SegmentProvider& provider() override { return *sender_; }
+  tcp::DataSink& sink() override { return *receiver_; }
+  void register_subflow(tcp::Subflow* subflow) override {
+    sender_->register_subflow(subflow);
+  }
+
   std::unique_ptr<FixedRateSender> sender_;
   std::unique_ptr<FixedRateReceiver> receiver_;
-  std::vector<std::unique_ptr<tcp::Subflow>> subflows_;
-  std::vector<std::unique_ptr<tcp::SubflowReceiver>> subflow_receivers_;
 };
 
 }  // namespace fmtcp::baselines

@@ -3,7 +3,6 @@
 #include <map>
 
 #include "common/check.h"
-#include "tcp/wiring.h"
 
 namespace fmtcp::baselines {
 
@@ -104,24 +103,24 @@ void HmtpSender::schedule_poke() {
   });
 }
 
-HmtpConnection::HmtpConnection(sim::Simulator& simulator,
-                               net::Topology& topology,
-                               const HmtpConnectionConfig& config)
-    : goodput_(config.goodput_bin) {
-  sender_ = std::make_unique<HmtpSender>(simulator, config.params, &delays_);
-  receiver_ = std::make_unique<core::FmtcpReceiver>(simulator, config.params,
-                                                    &goodput_);
+namespace {
 
+tcp::WiringOptions wiring_options(const HmtpConnectionConfig& config) {
   tcp::WiringOptions options;
   options.subflow = config.subflow;
   options.fresh_payload_on_retransmit = true;
-  options.seed_loss_hint = config.seed_loss_hint;
-
-  tcp::WiredSubflows wired =
-      tcp::wire_subflows(simulator, topology, *sender_, *receiver_, options);
-  subflows_ = std::move(wired.subflows);
-  subflow_receivers_ = std::move(wired.subflow_receivers);
-  for (auto& subflow : subflows_) sender_->register_subflow(subflow.get());
+  return options;
 }
+
+}  // namespace
+
+HmtpConnection::HmtpConnection(sim::Simulator& simulator,
+                               const HmtpConnectionConfig& config)
+    : tcp::Connection(simulator, config.goodput_bin,
+                      wiring_options(config), /*use_lia=*/false),
+      sender_(std::make_unique<HmtpSender>(simulator, config.params,
+                                           &delays_)),
+      receiver_(std::make_unique<core::FmtcpReceiver>(
+          simulator, config.params, &goodput_)) {}
 
 }  // namespace fmtcp::baselines

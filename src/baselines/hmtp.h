@@ -16,10 +16,10 @@
 #include "core/params.h"
 #include "core/receiver.h"
 #include "metrics/block_stats.h"
-#include "metrics/goodput.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 #include "tcp/subflow.h"
+#include "tcp/wiring.h"
 
 namespace fmtcp::baselines {
 
@@ -62,33 +62,41 @@ class HmtpSender final : public tcp::SegmentProvider {
 struct HmtpConnectionConfig {
   core::FmtcpParams params;
   tcp::SubflowConfig subflow;
-  bool seed_loss_hint = true;
   SimTime goodput_bin = kSecond;
 };
 
-/// HMTP endpoints over a topology; the receiver is FMTCP's (symbol
-/// aggregation and decode feedback are identical).
-class HmtpConnection {
+/// HMTP endpoints over tcp::Connection's subflows; the receiver is
+/// FMTCP's (symbol aggregation and decode feedback are identical).
+class HmtpConnection final : public tcp::Connection {
  public:
-  HmtpConnection(sim::Simulator& simulator, net::Topology& topology,
+  /// Unwired: wire() or attach() the subflows, then start().
+  HmtpConnection(sim::Simulator& simulator,
                  const HmtpConnectionConfig& config);
 
-  void start() { sender_->start(); }
+  void start() override { sender_->start(); }
 
   HmtpSender& sender() { return *sender_; }
   core::FmtcpReceiver& receiver() { return *receiver_; }
-  tcp::Subflow& subflow(std::size_t i) { return *subflows_.at(i); }
 
-  const metrics::GoodputMeter& goodput() const { return goodput_; }
-  const metrics::BlockDelayRecorder& block_delays() const { return delays_; }
+  std::uint64_t symbols_sent() const override {
+    return sender_->blocks().total_symbols_sent();
+  }
+  std::uint64_t redundant_symbols() const override {
+    return receiver_->redundant_symbols();
+  }
+  bool payload_verified() const override {
+    return receiver_->payload_verified();
+  }
 
  private:
-  metrics::GoodputMeter goodput_;
-  metrics::BlockDelayRecorder delays_;
+  tcp::SegmentProvider& provider() override { return *sender_; }
+  tcp::DataSink& sink() override { return *receiver_; }
+  void register_subflow(tcp::Subflow* subflow) override {
+    sender_->register_subflow(subflow);
+  }
+
   std::unique_ptr<HmtpSender> sender_;
   std::unique_ptr<core::FmtcpReceiver> receiver_;
-  std::vector<std::unique_ptr<tcp::Subflow>> subflows_;
-  std::vector<std::unique_ptr<tcp::SubflowReceiver>> subflow_receivers_;
 };
 
 }  // namespace fmtcp::baselines

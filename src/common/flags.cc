@@ -1,9 +1,42 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 namespace fmtcp {
+
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* want) {
+  std::fprintf(stderr, "--%s: '%s' is not %s\n", name.c_str(), value.c_str(),
+               want);
+  std::exit(2);
+}
+
+}  // namespace
+
+std::optional<double> parse_double(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<std::int64_t> parse_int(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 FlagParser::FlagParser(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "";
@@ -46,8 +79,10 @@ double FlagParser::get_double(const std::string& name, double fallback,
   fallback_str << fallback;
   registered_[name] = {fallback_str.str(), help};
   const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  const std::optional<double> value = parse_double(it->second);
+  if (!value) bad_value(name, it->second, "a number");
+  return *value;
 }
 
 std::int64_t FlagParser::get_int(const std::string& name,
@@ -55,8 +90,10 @@ std::int64_t FlagParser::get_int(const std::string& name,
                                  const std::string& help) {
   registered_[name] = {std::to_string(fallback), help};
   const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  const std::optional<std::int64_t> value = parse_int(it->second);
+  if (!value) bad_value(name, it->second, "an integer");
+  return *value;
 }
 
 bool FlagParser::get_bool(const std::string& name, bool fallback,

@@ -8,10 +8,16 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace fmtcp {
+
+/// All of `text` as a number; nullopt when it is empty, not a number,
+/// followed by other characters, or out of the type's range.
+std::optional<double> parse_double(const std::string& text);
+std::optional<std::int64_t> parse_int(const std::string& text);
 
 class FlagParser {
  public:
@@ -21,7 +27,8 @@ class FlagParser {
   bool has(const std::string& name) const;
 
   // Each accessor registers the flag (for usage/unknown detection) and
-  // returns the parsed value or `fallback`.
+  // returns the parsed value or `fallback`. A numeric flag whose value
+  // does not parse whole exits the program with status 2, naming it.
   std::string get_string(const std::string& name,
                          const std::string& fallback,
                          const std::string& help = "");

@@ -1,37 +1,37 @@
 #include "core/connection.h"
 
-#include "tcp/wiring.h"
-
 namespace fmtcp::core {
 
-FmtcpConnection::FmtcpConnection(sim::Simulator& simulator,
-                                 net::Topology& topology,
-                                 const FmtcpConnectionConfig& config)
-    : goodput_(config.goodput_bin) {
-  sender_ = std::make_unique<FmtcpSender>(simulator, config.params, &delays_,
-                                          config.source, config.observer);
-  receiver_ = std::make_unique<FmtcpReceiver>(
-      simulator, config.params, &goodput_, config.block_sink,
-      config.observer);
+namespace {
 
+tcp::WiringOptions wiring_options(const FmtcpConnectionConfig& config) {
   tcp::WiringOptions options;
   options.subflow = config.subflow;
   options.subflow.observer = config.observer;
   options.receiver = config.receiver;
   options.fresh_payload_on_retransmit = true;
   options.seed_loss_hint = config.seed_loss_hint;
-  if (config.use_lia) {
-    lia_group_ = std::make_unique<tcp::LiaGroup>();
-    options.make_cc = [this, reno = config.subflow.reno](std::uint32_t) {
-      return std::make_unique<tcp::LiaCc>(*lia_group_, reno);
-    };
-  }
+  return options;
+}
 
-  tcp::WiredSubflows wired =
-      tcp::wire_subflows(simulator, topology, *sender_, *receiver_, options);
-  subflows_ = std::move(wired.subflows);
-  subflow_receivers_ = std::move(wired.subflow_receivers);
-  for (auto& subflow : subflows_) sender_->register_subflow(subflow.get());
+}  // namespace
+
+FmtcpConnection::FmtcpConnection(sim::Simulator& simulator,
+                                 const FmtcpConnectionConfig& config)
+    : tcp::Connection(simulator, config.goodput_bin, wiring_options(config),
+                      config.use_lia),
+      sender_(std::make_unique<FmtcpSender>(simulator, config.params,
+                                            &delays_, config.source,
+                                            config.observer)),
+      receiver_(std::make_unique<FmtcpReceiver>(
+          simulator, config.params, &goodput_, config.block_sink,
+          config.observer)) {}
+
+FmtcpConnection::FmtcpConnection(sim::Simulator& simulator,
+                                 net::Topology& topology,
+                                 const FmtcpConnectionConfig& config)
+    : FmtcpConnection(simulator, config) {
+  wire(topology);
 }
 
 }  // namespace fmtcp::core

@@ -1,20 +1,18 @@
-// FMTCP connection: wires a sender, a receiver, and one TCP subflow per
-// disjoint path of a Topology. The top-level public API most users touch.
+// FMTCP connection: a sender, a receiver, and one TCP subflow per
+// disjoint path of a Topology.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/params.h"
 #include "core/receiver.h"
 #include "core/sender.h"
-#include "metrics/block_stats.h"
-#include "metrics/goodput.h"
 #include "net/topology.h"
 #include "obs/observer.h"
 #include "sim/simulator.h"
 #include "tcp/subflow.h"
+#include "tcp/wiring.h"
 
 namespace fmtcp::core {
 
@@ -43,30 +41,41 @@ struct FmtcpConnectionConfig {
   obs::Observer* observer = nullptr;
 };
 
-class FmtcpConnection {
+/// FMTCP over tcp::Connection's subflows: the Algorithm-1 sender and the
+/// decoding receiver. The top-level public API most users touch.
+class FmtcpConnection final : public tcp::Connection {
  public:
+  /// Unwired: wire() or attach() the subflows, then start().
+  FmtcpConnection(sim::Simulator& simulator,
+                  const FmtcpConnectionConfig& config);
+  /// One subflow per path of `topology`.
   FmtcpConnection(sim::Simulator& simulator, net::Topology& topology,
                   const FmtcpConnectionConfig& config);
 
-  /// Starts transmitting (call once after construction).
-  void start() { sender_->start(); }
+  void start() override { sender_->start(); }
 
   FmtcpSender& sender() { return *sender_; }
   FmtcpReceiver& receiver() { return *receiver_; }
-  tcp::Subflow& subflow(std::size_t i) { return *subflows_.at(i); }
-  std::size_t subflow_count() const { return subflows_.size(); }
 
-  const metrics::GoodputMeter& goodput() const { return goodput_; }
-  const metrics::BlockDelayRecorder& block_delays() const { return delays_; }
+  std::uint64_t symbols_sent() const override {
+    return sender_->blocks().total_symbols_sent();
+  }
+  std::uint64_t redundant_symbols() const override {
+    return receiver_->redundant_symbols();
+  }
+  bool payload_verified() const override {
+    return receiver_->payload_verified();
+  }
 
  private:
-  metrics::GoodputMeter goodput_;
-  metrics::BlockDelayRecorder delays_;
-  std::unique_ptr<tcp::LiaGroup> lia_group_;
+  tcp::SegmentProvider& provider() override { return *sender_; }
+  tcp::DataSink& sink() override { return *receiver_; }
+  void register_subflow(tcp::Subflow* subflow) override {
+    sender_->register_subflow(subflow);
+  }
+
   std::unique_ptr<FmtcpSender> sender_;
   std::unique_ptr<FmtcpReceiver> receiver_;
-  std::vector<std::unique_ptr<tcp::Subflow>> subflows_;
-  std::vector<std::unique_ptr<tcp::SubflowReceiver>> subflow_receivers_;
 };
 
 }  // namespace fmtcp::core

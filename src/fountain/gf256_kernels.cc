@@ -121,10 +121,14 @@ FMTCP_AVX512_GF256_TARGET static inline Mt512 mt512_prep(
     const Gf256NibbleTables& t) {
   // VPERMB indexes the full 64-byte register, so the 16-byte table is
   // broadcast 4×; index bits [5:4] then select an identical copy, which
-  // makes the low-nibble lookup maskless.
-  return {_mm512_broadcast_i32x4(
+  // makes the low-nibble lookup maskless. Here and in mt512_mul, the
+  // all-ones zero-masked forms equal the unmasked ones, whose undefined
+  // merge source GCC 12 flags as (maybe-)uninitialized under -Werror.
+  return {_mm512_maskz_broadcast_i32x4(
+              0xFFFF,
               _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo))),
-          _mm512_broadcast_i32x4(
+          _mm512_maskz_broadcast_i32x4(
+              0xFFFF,
               _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi)))};
 }
 
@@ -134,8 +138,9 @@ FMTCP_AVX512_GF256_TARGET static inline __m512i mt512_mul(Mt512 mt,
   // irrelevant, so v itself indexes the lo table. The hi index still
   // masks because the 16-bit shift drags neighbour-byte bits in.
   return _mm512_xor_si512(
-      _mm512_permutexvar_epi8(v, mt.lo),
-      _mm512_permutexvar_epi8(
+      _mm512_maskz_permutexvar_epi8(~0ULL, v, mt.lo),
+      _mm512_maskz_permutexvar_epi8(
+          ~0ULL,
           _mm512_and_si512(_mm512_srli_epi16(v, 4), _mm512_set1_epi8(0x0F)),
           mt.hi));
 }

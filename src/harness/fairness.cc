@@ -2,100 +2,11 @@
 
 #include <memory>
 
-#include "common/check.h"
-#include "core/params.h"
-#include "core/receiver.h"
-#include "core/sender.h"
-#include "metrics/goodput.h"
-#include "mptcp/receiver.h"
-#include "mptcp/sender.h"
 #include "net/link.h"
 #include "sim/simulator.h"
-#include "tcp/subflow.h"
+#include "tcp/wiring.h"
 
 namespace fmtcp::harness {
-
-namespace {
-
-/// One single-path endpoint pair (sender side + receiver side) of either
-/// protocol, exposing the pieces the shared wiring needs.
-class Endpoint {
- public:
-  virtual ~Endpoint() = default;
-  virtual tcp::SegmentProvider& provider() = 0;
-  virtual tcp::DataSink& sink() = 0;
-  virtual void attach_and_start(tcp::Subflow* subflow) = 0;
-  virtual std::uint64_t delivered_bytes() const = 0;
-};
-
-class FmtcpEndpoint final : public Endpoint {
- public:
-  FmtcpEndpoint(sim::Simulator& simulator, const core::FmtcpParams& params)
-      : goodput_(kSecond),
-        sender_(simulator, params),
-        receiver_(simulator, params, &goodput_) {}
-
-  tcp::SegmentProvider& provider() override { return sender_; }
-  tcp::DataSink& sink() override { return receiver_; }
-  void attach_and_start(tcp::Subflow* subflow) override {
-    sender_.register_subflow(subflow);
-    sender_.start();
-  }
-  std::uint64_t delivered_bytes() const override {
-    return goodput_.total_bytes();
-  }
-
- private:
-  metrics::GoodputMeter goodput_;
-  core::FmtcpSender sender_;
-  core::FmtcpReceiver receiver_;
-};
-
-class TcpEndpoint final : public Endpoint {
- public:
-  TcpEndpoint(sim::Simulator& simulator, std::size_t segment_bytes)
-      : goodput_(kSecond),
-        sender_(simulator, make_config(segment_bytes)),
-        receiver_(simulator, 128 * 1024, &goodput_) {}
-
-  tcp::SegmentProvider& provider() override { return sender_; }
-  tcp::DataSink& sink() override { return receiver_; }
-  void attach_and_start(tcp::Subflow* subflow) override {
-    sender_.register_subflow(subflow);
-    sender_.start();
-  }
-  std::uint64_t delivered_bytes() const override {
-    return goodput_.total_bytes();
-  }
-
- private:
-  static mptcp::MptcpSenderConfig make_config(std::size_t segment_bytes) {
-    mptcp::MptcpSenderConfig config;
-    config.segment_bytes = segment_bytes;
-    return config;
-  }
-
-  metrics::GoodputMeter goodput_;
-  mptcp::MptcpSender sender_;
-  mptcp::MptcpReceiver receiver_;
-};
-
-std::unique_ptr<Endpoint> make_endpoint(sim::Simulator& simulator,
-                                        Protocol protocol,
-                                        const ProtocolOptions& options) {
-  switch (protocol) {
-    case Protocol::kFmtcp:
-      return std::make_unique<FmtcpEndpoint>(simulator, options.fmtcp);
-    case Protocol::kMptcp:
-      return std::make_unique<TcpEndpoint>(simulator,
-                                           options.subflow.mss_payload);
-    default:
-      FMTCP_CHECK(false && "fairness supports kFmtcp / kMptcp only");
-      return nullptr;
-  }
-}
-
-}  // namespace
 
 double FairnessResult::jain_index() const {
   const double sum = goodput_a_MBps + goodput_b_MBps;
@@ -127,50 +38,32 @@ FairnessResult run_fairness(const FairnessConfig& config) {
   reverse_config.queue_packets = 0;
   net::Link reverse(simulator, reverse_config, nullptr);
 
-  std::unique_ptr<Endpoint> a =
-      make_endpoint(simulator, config.protocol_a, options);
-  std::unique_ptr<Endpoint> b =
-      make_endpoint(simulator, config.protocol_b, options);
+  std::unique_ptr<tcp::Connection> a =
+      make_connection(config.protocol_a, simulator, options, nullptr);
+  std::unique_ptr<tcp::Connection> b =
+      make_connection(config.protocol_b, simulator, options, nullptr);
 
-  tcp::SubflowConfig subflow_config = options.subflow;
-  subflow_config.id = 0;
-
-  // Connection A (tag 1).
-  subflow_config.flow_tag = 1;
-  subflow_config.fresh_payload_on_retransmit =
-      config.protocol_a == Protocol::kFmtcp;
-  auto subflow_a = std::make_unique<tcp::Subflow>(
-      simulator, subflow_config, forward, a->provider());
-  auto receiver_a = std::make_unique<tcp::SubflowReceiver>(
-      simulator, 0, reverse, a->sink());
-
-  // Connection B (tag 2).
-  subflow_config.flow_tag = 2;
-  subflow_config.fresh_payload_on_retransmit =
-      config.protocol_b == Protocol::kFmtcp;
-  auto subflow_b = std::make_unique<tcp::Subflow>(
-      simulator, subflow_config, forward, b->provider());
-  auto receiver_b = std::make_unique<tcp::SubflowReceiver>(
-      simulator, 0, reverse, b->sink());
+  // One subflow each over the shared links: connection A tagged 1, B 2.
+  a->attach(forward, reverse, 1);
+  b->attach(forward, reverse, 2);
 
   // Demultiplex by connection tag at both ends.
-  forward.set_sink([ra = receiver_a.get(),
-                    rb = receiver_b.get()](net::Packet p) {
-    (p.flow_tag == 1 ? ra : rb)->on_data_packet(std::move(p));
+  forward.set_sink([a = a.get(), b = b.get()](net::Packet p) {
+    (p.flow_tag == 1 ? a : b)->subflow_receiver(0).on_data_packet(
+        std::move(p));
   });
-  reverse.set_sink([sa = subflow_a.get(),
-                    sb = subflow_b.get()](net::Packet p) {
-    (p.flow_tag == 1 ? sa : sb)->on_ack_packet(std::move(p));
+  reverse.set_sink([a = a.get(), b = b.get()](net::Packet p) {
+    (p.flow_tag == 1 ? a : b)->subflow(0).on_ack_packet(std::move(p));
   });
 
-  a->attach_and_start(subflow_a.get());
-  b->attach_and_start(subflow_b.get());
+  a->start();
+  b->start();
   simulator.run_until(config.duration);
 
   FairnessResult result;
-  result.goodput_a_MBps = static_cast<double>(a->delivered_bytes()) /
+  result.goodput_a_MBps = static_cast<double>(a->goodput().total_bytes()) /
                           to_seconds(config.duration) / 1e6;
-  result.goodput_b_MBps = static_cast<double>(b->delivered_bytes()) /
+  result.goodput_b_MBps = static_cast<double>(b->goodput().total_bytes()) /
                           to_seconds(config.duration) / 1e6;
   return result;
 }

@@ -1,11 +1,11 @@
 // Shared-bottleneck fairness experiments (paper §III-A / §II: FMTCP's
 // coding must not "do harm to the fairness of transmission").
 //
-// Two single-path connections share one bottleneck link; each runs
-// either FMTCP or a plain TCP stream (the MPTCP machinery with a single
-// subflow). Packets carry a connection flow_tag, demultiplexed at both
-// ends. The result reports each connection's goodput and Jain's
-// fairness index.
+// Two single-path connections share one bottleneck link; each is built
+// by make_connection and given one subflow over the shared links, so
+// kMptcp is a plain TCP stream. Packets carry a connection flow_tag,
+// demultiplexed at both ends. The result reports each connection's
+// goodput and Jain's fairness index.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,6 @@ struct FairnessResult {
 };
 
 /// Runs the two connections head to head over the shared bottleneck.
-/// Only kFmtcp and kMptcp are supported per side.
 FairnessResult run_fairness(const FairnessConfig& config);
 
 }  // namespace fmtcp::harness

@@ -4,11 +4,7 @@
 #include <chrono>
 #include <memory>
 
-#include "baselines/fixed_rate.h"
-#include "baselines/hmtp.h"
 #include "common/check.h"
-#include "core/connection.h"
-#include "mptcp/connection.h"
 #include "net/topology.h"
 #include "obs/trace/span.h"
 #include "sim/simulator.h"
@@ -28,9 +24,10 @@ void collect_subflow(const tcp::Subflow& subflow, RunResult& result) {
   result.subflows.push_back(stats);
 }
 
-void collect_common(const metrics::GoodputMeter& goodput,
-                    const metrics::BlockDelayRecorder& delays,
-                    const Scenario& scenario, RunResult& result) {
+void collect(tcp::Connection& connection, const Scenario& scenario,
+             RunResult& result) {
+  const metrics::GoodputMeter& goodput = connection.goodput();
+  const metrics::BlockDelayRecorder& delays = connection.block_delays();
   result.delivered_bytes = goodput.total_bytes();
   result.goodput_MBps = goodput.mean_rate_MBps(scenario.duration);
   for (std::size_t i = 0; i < goodput.series().bin_count(); ++i) {
@@ -42,6 +39,12 @@ void collect_common(const metrics::GoodputMeter& goodput,
   result.stddev_delay_ms = delays.stddev_delay_ms();
   result.max_delay_ms = delays.max_delay_ms();
   result.block_delays_ms = delays.delays_ms_in_order();
+  for (std::size_t i = 0; i < connection.subflow_count(); ++i) {
+    collect_subflow(connection.subflow(i), result);
+  }
+  result.redundant_symbols = connection.redundant_symbols();
+  result.symbols_sent = connection.symbols_sent();
+  result.payload_ok = connection.payload_verified();
 }
 
 /// Runs the event loop for scenario.duration. With an observer, pauses
@@ -151,153 +154,25 @@ RunResult run_scenario(Protocol protocol, const Scenario& scenario,
   // NOLINT-DETERMINISM(wall_seconds diagnostic; no result derives from it)
   const auto wall_start = std::chrono::steady_clock::now();
 
-  switch (protocol) {
-    case Protocol::kFmtcp: {
-      std::unique_ptr<core::FmtcpConnection> connection;
-      {
-        FMTCP_SPAN("sweep.cell.setup");
-        core::FmtcpConnectionConfig config;
-        config.params = options.fmtcp;
-        config.subflow = options.subflow;
-        config.subflow.enable_sack = options.sack;
-        config.receiver.delayed_acks = options.delayed_acks;
-        config.use_lia = options.fmtcp_use_lia;
-        config.goodput_bin = options.goodput_bin;
-        config.observer = scenario.observer;
-        connection = std::make_unique<core::FmtcpConnection>(
-            simulator, topology, config);
-        connection->start();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.sim");
-        run_clock(simulator, scenario);
-      }
-      {
-        FMTCP_SPAN("sweep.cell.collect");
-        collect_common(connection->goodput(), connection->block_delays(),
-                       scenario, result);
-        for (std::size_t i = 0; i < connection->subflow_count(); ++i) {
-          collect_subflow(connection->subflow(i), result);
-        }
-        result.redundant_symbols =
-            connection->receiver().redundant_symbols();
-        result.symbols_sent =
-            connection->sender().blocks().total_symbols_sent();
-        result.payload_ok = connection->receiver().payload_verified();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.teardown");
-        connection.reset();
-      }
-      break;
-    }
-
-    case Protocol::kMptcp: {
-      std::unique_ptr<mptcp::MptcpConnection> connection;
-      {
-        FMTCP_SPAN("sweep.cell.setup");
-        mptcp::MptcpConnectionConfig config;
-        config.subflow = options.subflow;
-        config.subflow.enable_sack = options.sack;
-        config.sender.segment_bytes = options.subflow.mss_payload;
-        config.sender.metric_block_bytes = options.fmtcp.block_bytes();
-        config.sender.scheduler = options.mptcp_scheduler;
-        config.sender.enable_reinjection = options.mptcp_reinjection;
-        config.receiver.delayed_acks = options.delayed_acks;
-        config.receive_buffer_bytes = options.mptcp_receive_buffer;
-        config.use_lia = options.mptcp_use_lia;
-        config.goodput_bin = options.goodput_bin;
-        config.observer = scenario.observer;
-        connection = std::make_unique<mptcp::MptcpConnection>(
-            simulator, topology, config);
-        connection->start();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.sim");
-        run_clock(simulator, scenario);
-      }
-      {
-        FMTCP_SPAN("sweep.cell.collect");
-        collect_common(connection->goodput(), connection->block_delays(),
-                       scenario, result);
-        for (std::size_t i = 0; i < connection->subflow_count(); ++i) {
-          collect_subflow(connection->subflow(i), result);
-        }
-      }
-      {
-        FMTCP_SPAN("sweep.cell.teardown");
-        connection.reset();
-      }
-      break;
-    }
-
-    case Protocol::kHmtp: {
-      std::unique_ptr<baselines::HmtpConnection> connection;
-      {
-        FMTCP_SPAN("sweep.cell.setup");
-        baselines::HmtpConnectionConfig config;
-        config.params = options.fmtcp;
-        config.subflow = options.subflow;
-        config.subflow.observer = scenario.observer;
-        config.goodput_bin = options.goodput_bin;
-        connection = std::make_unique<baselines::HmtpConnection>(
-            simulator, topology, config);
-        connection->start();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.sim");
-        run_clock(simulator, scenario);
-      }
-      {
-        FMTCP_SPAN("sweep.cell.collect");
-        collect_common(connection->goodput(), connection->block_delays(),
-                       scenario, result);
-        collect_subflow(connection->subflow(0), result);
-        collect_subflow(connection->subflow(1), result);
-        result.redundant_symbols =
-            connection->receiver().redundant_symbols();
-        result.symbols_sent =
-            connection->sender().blocks().total_symbols_sent();
-        result.payload_ok = connection->receiver().payload_verified();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.teardown");
-        connection.reset();
-      }
-      break;
-    }
-
-    case Protocol::kFixedRate: {
-      std::unique_ptr<baselines::FixedRateConnection> connection;
-      {
-        FMTCP_SPAN("sweep.cell.setup");
-        baselines::FixedRateConnectionConfig config;
-        config.params = options.fixed_rate;
-        config.subflow = options.subflow;
-        config.subflow.observer = scenario.observer;
-        config.goodput_bin = options.goodput_bin;
-        connection = std::make_unique<baselines::FixedRateConnection>(
-            simulator, topology, config);
-        connection->start();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.sim");
-        run_clock(simulator, scenario);
-      }
-      {
-        FMTCP_SPAN("sweep.cell.collect");
-        collect_common(connection->goodput(), connection->block_delays(),
-                       scenario, result);
-        result.redundant_symbols =
-            connection->receiver().redundant_symbols();
-        result.symbols_sent = connection->sender().symbols_sent();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.teardown");
-        connection.reset();
-      }
-      break;
-    }
+  std::unique_ptr<tcp::Connection> connection;
+  {
+    FMTCP_SPAN("sweep.cell.setup");
+    connection =
+        make_connection(protocol, simulator, options, scenario.observer);
+    connection->wire(topology);
+    connection->start();
+  }
+  {
+    FMTCP_SPAN("sweep.cell.sim");
+    run_clock(simulator, scenario);
+  }
+  {
+    FMTCP_SPAN("sweep.cell.collect");
+    collect(*connection, scenario, result);
+  }
+  {
+    FMTCP_SPAN("sweep.cell.teardown");
+    connection.reset();
   }
   result.sim_events = simulator.scheduler().executed_count();
   result.wall_seconds =

@@ -1,6 +1,9 @@
 #include "harness/scenario.h"
 
+#include "baselines/hmtp.h"
 #include "common/check.h"
+#include "core/connection.h"
+#include "mptcp/connection.h"
 
 namespace fmtcp::harness {
 
@@ -25,6 +28,16 @@ const char* protocol_name(Protocol protocol) {
       return "FixedRate";
   }
   return "?";
+}
+
+std::optional<Protocol> parse_protocol(const std::string& name) {
+  if (name == "fmtcp") return Protocol::kFmtcp;
+  if (name == "mptcp") return Protocol::kMptcp;
+  if (name == "hmtp") return Protocol::kHmtp;
+  if (name == "fixedrate" || name == "fixed-rate") {
+    return Protocol::kFixedRate;
+  }
+  return std::nullopt;
 }
 
 ProtocolOptions ProtocolOptions::defaults() {
@@ -57,6 +70,53 @@ ProtocolOptions ProtocolOptions::defaults() {
   options.subflow.reno.max_cwnd = 110.0;
   options.subflow.cubic.max_cwnd = 110.0;
   return options;
+}
+
+std::unique_ptr<tcp::Connection> make_connection(
+    Protocol protocol, sim::Simulator& simulator,
+    const ProtocolOptions& options, obs::Observer* observer) {
+  tcp::SubflowConfig subflow = options.subflow;
+  subflow.observer = observer;
+  switch (protocol) {
+    case Protocol::kFmtcp: {
+      core::FmtcpConnectionConfig config;
+      config.params = options.fmtcp;
+      config.subflow = subflow;
+      config.subflow.enable_sack = options.sack;
+      config.receiver.delayed_acks = options.delayed_acks;
+      config.use_lia = options.fmtcp_use_lia;
+      config.goodput_bin = options.goodput_bin;
+      config.observer = observer;
+      return std::make_unique<core::FmtcpConnection>(simulator, config);
+    }
+    case Protocol::kMptcp: {
+      mptcp::MptcpConnectionConfig config;
+      config.subflow = subflow;
+      config.subflow.enable_sack = options.sack;
+      config.sender.segment_bytes = options.subflow.mss_payload;
+      config.sender.metric_block_bytes = options.fmtcp.block_bytes();
+      config.sender.scheduler = options.mptcp_scheduler;
+      config.sender.enable_reinjection = options.mptcp_reinjection;
+      config.receiver.delayed_acks = options.delayed_acks;
+      config.receive_buffer_bytes = options.mptcp_receive_buffer;
+      config.use_lia = options.mptcp_use_lia;
+      config.goodput_bin = options.goodput_bin;
+      config.observer = observer;
+      return std::make_unique<mptcp::MptcpConnection>(simulator, config);
+    }
+    // HMTP and fixed-rate take neither the SACK nor the delayed-ACK
+    // option, and report through their subflows only.
+    case Protocol::kHmtp:
+      return std::make_unique<baselines::HmtpConnection>(
+          simulator, baselines::HmtpConnectionConfig{options.fmtcp, subflow,
+                                                     options.goodput_bin});
+    case Protocol::kFixedRate:
+      return std::make_unique<baselines::FixedRateConnection>(
+          simulator, baselines::FixedRateConnectionConfig{
+                         options.fixed_rate, subflow, options.goodput_bin});
+  }
+  FMTCP_CHECK(false && "unknown protocol");
+  return nullptr;
 }
 
 }  // namespace fmtcp::harness

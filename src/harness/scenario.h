@@ -2,6 +2,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,7 +14,9 @@
 #include "net/path.h"
 #include "net/trace.h"
 #include "obs/observer.h"
+#include "sim/simulator.h"
 #include "tcp/subflow.h"
+#include "tcp/wiring.h"
 
 namespace fmtcp::harness {
 
@@ -58,6 +62,10 @@ enum class Protocol { kFmtcp, kMptcp, kHmtp, kFixedRate };
 
 const char* protocol_name(Protocol protocol);
 
+/// Command-line spelling: fmtcp | mptcp | hmtp | fixedrate (also
+/// fixed-rate); nullopt for anything else.
+std::optional<Protocol> parse_protocol(const std::string& name);
+
 /// Knobs for every protocol, with defaults giving a like-for-like
 /// comparison (equal packet sizes, equal metric block size).
 struct ProtocolOptions {
@@ -79,5 +87,14 @@ struct ProtocolOptions {
   /// segments of the same wire size.
   static ProtocolOptions defaults();
 };
+
+/// Builds `protocol`'s connection from `options`, unwired: call wire()
+/// (or attach()) and then start(). `observer` (not owned; may be null)
+/// reaches every subflow, plus FMTCP's sender and receiver and MPTCP's
+/// sender. The one place ProtocolOptions is translated into a
+/// protocol's config.
+std::unique_ptr<tcp::Connection> make_connection(
+    Protocol protocol, sim::Simulator& simulator,
+    const ProtocolOptions& options, obs::Observer* observer);
 
 }  // namespace fmtcp::harness

@@ -1,19 +1,10 @@
 #include "mptcp/connection.h"
 
-#include "tcp/wiring.h"
-
 namespace fmtcp::mptcp {
 
-MptcpConnection::MptcpConnection(sim::Simulator& simulator,
-                                 net::Topology& topology,
-                                 const MptcpConnectionConfig& config)
-    : goodput_(config.goodput_bin) {
-  if (config.use_lia) lia_group_ = std::make_unique<tcp::LiaGroup>();
-  sender_ = std::make_unique<MptcpSender>(simulator, config.sender, &delays_,
-                                          config.observer);
-  receiver_ = std::make_unique<MptcpReceiver>(
-      simulator, config.receive_buffer_bytes, &goodput_);
+namespace {
 
+tcp::WiringOptions wiring_options(const MptcpConnectionConfig& config) {
   tcp::WiringOptions options;
   options.subflow = config.subflow;
   options.subflow.observer = config.observer;
@@ -21,17 +12,25 @@ MptcpConnection::MptcpConnection(sim::Simulator& simulator,
   options.receiver = config.receiver;
   options.fresh_payload_on_retransmit = false;
   options.seed_loss_hint = config.seed_loss_hint;
-  if (config.use_lia) {
-    options.make_cc = [this, reno = config.subflow.reno](std::uint32_t) {
-      return std::make_unique<tcp::LiaCc>(*lia_group_, reno);
-    };
-  }
+  return options;
+}
 
-  tcp::WiredSubflows wired =
-      tcp::wire_subflows(simulator, topology, *sender_, *receiver_, options);
-  subflows_ = std::move(wired.subflows);
-  subflow_receivers_ = std::move(wired.subflow_receivers);
-  for (auto& subflow : subflows_) sender_->register_subflow(subflow.get());
+}  // namespace
+
+MptcpConnection::MptcpConnection(sim::Simulator& simulator,
+                                 const MptcpConnectionConfig& config)
+    : tcp::Connection(simulator, config.goodput_bin, wiring_options(config),
+                      config.use_lia),
+      sender_(std::make_unique<MptcpSender>(simulator, config.sender,
+                                            &delays_, config.observer)),
+      receiver_(std::make_unique<MptcpReceiver>(
+          simulator, config.receive_buffer_bytes, &goodput_)) {}
+
+MptcpConnection::MptcpConnection(sim::Simulator& simulator,
+                                 net::Topology& topology,
+                                 const MptcpConnectionConfig& config)
+    : MptcpConnection(simulator, config) {
+  wire(topology);
 }
 
 }  // namespace fmtcp::mptcp

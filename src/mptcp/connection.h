@@ -1,18 +1,15 @@
-// IETF-MPTCP connection wiring (the paper's comparison baseline).
+// IETF-MPTCP connection (the paper's comparison baseline).
 #pragma once
 
 #include <memory>
-#include <vector>
 
-#include "metrics/block_stats.h"
-#include "metrics/goodput.h"
 #include "mptcp/receiver.h"
 #include "mptcp/sender.h"
 #include "net/topology.h"
 #include "obs/observer.h"
 #include "sim/simulator.h"
-#include "tcp/congestion.h"
 #include "tcp/subflow.h"
+#include "tcp/wiring.h"
 
 namespace fmtcp::mptcp {
 
@@ -32,29 +29,31 @@ struct MptcpConnectionConfig {
   obs::Observer* observer = nullptr;
 };
 
-class MptcpConnection {
+/// IETF-MPTCP over tcp::Connection's subflows: the data-sequence
+/// sender and the reassembling receiver.
+class MptcpConnection final : public tcp::Connection {
  public:
+  /// Unwired: wire() or attach() the subflows, then start().
+  MptcpConnection(sim::Simulator& simulator,
+                  const MptcpConnectionConfig& config);
+  /// One subflow per path of `topology`.
   MptcpConnection(sim::Simulator& simulator, net::Topology& topology,
                   const MptcpConnectionConfig& config);
 
-  void start() { sender_->start(); }
+  void start() override { sender_->start(); }
 
   MptcpSender& sender() { return *sender_; }
   MptcpReceiver& receiver() { return *receiver_; }
-  tcp::Subflow& subflow(std::size_t i) { return *subflows_.at(i); }
-  std::size_t subflow_count() const { return subflows_.size(); }
-
-  const metrics::GoodputMeter& goodput() const { return goodput_; }
-  const metrics::BlockDelayRecorder& block_delays() const { return delays_; }
 
  private:
-  metrics::GoodputMeter goodput_;
-  metrics::BlockDelayRecorder delays_;
-  std::unique_ptr<tcp::LiaGroup> lia_group_;
+  tcp::SegmentProvider& provider() override { return *sender_; }
+  tcp::DataSink& sink() override { return *receiver_; }
+  void register_subflow(tcp::Subflow* subflow) override {
+    sender_->register_subflow(subflow);
+  }
+
   std::unique_ptr<MptcpSender> sender_;
   std::unique_ptr<MptcpReceiver> receiver_;
-  std::vector<std::unique_ptr<tcp::Subflow>> subflows_;
-  std::vector<std::unique_ptr<tcp::SubflowReceiver>> subflow_receivers_;
 };
 
 }  // namespace fmtcp::mptcp

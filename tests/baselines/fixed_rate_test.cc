@@ -46,7 +46,8 @@ struct TestRun {
       double loss1, double loss2)
       : sim(seed),
         topology(sim, {path(100.0, loss1), path(100.0, loss2)}),
-        connection(sim, topology, config) {
+        connection(sim, config) {
+    connection.wire(topology);
     connection.start();
   }
 };

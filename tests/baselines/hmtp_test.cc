@@ -35,7 +35,8 @@ struct TestRun {
   TestRun(std::uint64_t seed, const HmtpConnectionConfig& config, double loss2)
       : sim(seed),
         topology(sim, {path(100.0, 0.0), path(100.0, loss2)}),
-        connection(sim, topology, config) {
+        connection(sim, config) {
+    connection.wire(topology);
     connection.start();
   }
 };

@@ -86,5 +86,27 @@ TEST(Flags, LastValueWins) {
   EXPECT_EQ(flags.get_int("n", 0), 2);
 }
 
+TEST(Flags, MalformedNumberExitsNamingTheFlag) {
+  FlagParser flags = parse({"--loss=abc", "--queue=12x", "--x=", "--n=1.5",
+                            "--big=99999999999999999999"});
+  EXPECT_EXIT(flags.get_double("loss", 0.0), testing::ExitedWithCode(2),
+              "--loss");
+  EXPECT_EXIT(flags.get_int("queue", 0), testing::ExitedWithCode(2),
+              "--queue");
+  EXPECT_EXIT(flags.get_double("x", 0.0), testing::ExitedWithCode(2), "--x");
+  EXPECT_EXIT(flags.get_int("n", 0), testing::ExitedWithCode(2), "--n");
+  EXPECT_EXIT(flags.get_int("big", 0), testing::ExitedWithCode(2), "--big");
+}
+
+TEST(Flags, ParseNumbersWhole) {
+  EXPECT_EQ(parse_double("2.5"), 2.5);
+  EXPECT_EQ(parse_double("-1e3"), -1000.0);
+  EXPECT_EQ(parse_double("0.1,"), std::nullopt);
+  EXPECT_EQ(parse_double(""), std::nullopt);
+  EXPECT_EQ(parse_int("-42"), -42);
+  EXPECT_EQ(parse_int("7 "), std::nullopt);
+  EXPECT_EQ(parse_int("0x10"), std::nullopt);
+}
+
 }  // namespace
 }  // namespace fmtcp

@@ -54,6 +54,16 @@ TEST(ProtocolNames, AllDistinct) {
   EXPECT_STREQ(protocol_name(Protocol::kFixedRate), "FixedRate");
 }
 
+TEST(ProtocolNames, ParseCommandLineSpellings) {
+  EXPECT_EQ(parse_protocol("fmtcp"), Protocol::kFmtcp);
+  EXPECT_EQ(parse_protocol("mptcp"), Protocol::kMptcp);
+  EXPECT_EQ(parse_protocol("hmtp"), Protocol::kHmtp);
+  EXPECT_EQ(parse_protocol("fixedrate"), Protocol::kFixedRate);
+  EXPECT_EQ(parse_protocol("fixed-rate"), Protocol::kFixedRate);
+  EXPECT_EQ(parse_protocol("FMTCP"), std::nullopt);
+  EXPECT_EQ(parse_protocol(""), std::nullopt);
+}
+
 TEST(Runner, ShortRunEveryProtocol) {
   Scenario scenario;
   scenario.duration = 5 * kSecond;
@@ -66,6 +76,10 @@ TEST(Runner, ShortRunEveryProtocol) {
     EXPECT_TRUE(result.payload_ok) << protocol_name(protocol);
     EXPECT_EQ(result.goodput_series_MBps.size(), 5u)
         << protocol_name(protocol);
+    EXPECT_EQ(result.subflows.size(), 2u) << protocol_name(protocol);
+    if (protocol != Protocol::kMptcp) {
+      EXPECT_GT(result.symbols_sent, 0u) << protocol_name(protocol);
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""fmtcp_sim must reject out-of-range flag values with exit status 2 and
-a message naming the flag, and must run a surge schedule that starts at
-t=0.
+"""fmtcp_sim must reject malformed and out-of-range flag values with exit
+status 2 and a message naming the flag, and must run a surge schedule
+that starts at t=0.
 
     fmtcp_sim_flags_test.py FMTCP_SIM
 """
@@ -28,6 +28,9 @@ BAD_VALUES = [
     ("--buffer_kb=-1", "--buffer_kb"),
     ("--surge=1e300:0.1", "--surge"),
     ("--duration=1e300", "--duration"),
+    ("--loss2=abc", "--loss2"),
+    ("--queue=12x", "--queue"),
+    ("--protocol=foo", "--protocol"),
 ]
 
 

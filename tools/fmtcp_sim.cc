@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -36,17 +37,6 @@ using namespace fmtcp;
 using namespace fmtcp::harness;
 
 namespace {
-
-Protocol parse_protocol(const std::string& name) {
-  if (name == "fmtcp") return Protocol::kFmtcp;
-  if (name == "mptcp") return Protocol::kMptcp;
-  if (name == "hmtp") return Protocol::kHmtp;
-  if (name == "fixedrate") return Protocol::kFixedRate;
-  std::fprintf(stderr,
-               "unknown --protocol '%s' (fmtcp|mptcp|hmtp|fixedrate)\n",
-               name.c_str());
-  std::exit(2);
-}
 
 /// Upper bound on every time given in seconds, so it converts to the
 /// nanosecond clock without overflow (about 31 years).
@@ -236,6 +226,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown flag --%s (see --help)\n", flag.c_str());
     return 2;
   }
+  const std::optional<Protocol> protocol = parse_protocol(protocol_name);
+  if (!protocol) {
+    std::fprintf(stderr,
+                 "unknown --protocol '%s' (fmtcp|mptcp|hmtp|fixedrate)\n",
+                 protocol_name.c_str());
+    return 2;
+  }
   require(scenario.path1.delay_ms >= 0 &&
               scenario.path1.delay_ms <= kMaxSeconds * 1e3,
           "delay1", "in [0, 1e12] ms");
@@ -282,8 +279,6 @@ int main(int argc, char** argv) {
     scenario.observer = observer.get();
   }
 
-  const Protocol protocol = parse_protocol(protocol_name);
-
   const bool tracing = profile || !trace_out_path.empty();
   if (tracing) {
     obs::trace::TraceConfig trace_config;
@@ -305,7 +300,7 @@ int main(int argc, char** argv) {
       seeds.push_back(scenario.seed + static_cast<std::uint64_t>(i));
     }
     const std::vector<RunResult> results =
-        run_seeds(protocol, scenario, options, seeds, parallel_jobs);
+        run_seeds(*protocol, scenario, options, seeds, parallel_jobs);
     std::printf("protocol:  %s, %d seeds (%llu..%llu), jobs=%u\n",
                 protocol_name.c_str(), seed_count,
                 static_cast<unsigned long long>(seeds.front()),
@@ -328,7 +323,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const RunResult result = run_scenario(protocol, scenario, options);
+  const RunResult result = run_scenario(*protocol, scenario, options);
 
   std::printf("protocol:        %s\n", protocol_name.c_str());
   std::printf("paths:           %.0fms/%.1f%% + %.0fms/%.1f%% @ %.1f Mb/s\n",
