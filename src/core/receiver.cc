@@ -30,13 +30,20 @@ FmtcpReceiver::FmtcpReceiver(sim::Simulator& simulator,
     obs_blocks_decoded_ = obs_->metrics.counter("fmtcp.blocks_decoded");
     obs_blocks_delivered_ =
         obs_->metrics.counter("fmtcp.blocks_delivered");
-    coding_metrics_.payload_bytes_xored =
-        obs_->metrics.counter("fountain.payload_bytes_xored");
-    coding_metrics_.coeff_word_xors =
-        obs_->metrics.counter("fountain.coeff_word_xors");
-    coding_metrics_.rows_composed =
-        obs_->metrics.counter("fountain.rows_composed");
+    obs_payload_bytes_ = obs_->metrics.counter("fountain.payload_bytes");
+    obs_coeff_work_ = obs_->metrics.counter("fountain.coeff_work");
+    obs_rows_composed_ = obs_->metrics.counter("fountain.rows_composed");
   }
+}
+
+FmtcpReceiver::~FmtcpReceiver() {
+  for (const auto& [id, decoder] : decoders_) note_coding_cost(decoder);
+}
+
+void FmtcpReceiver::note_coding_cost(const fountain::SymbolDecoder& decoder) {
+  obs_payload_bytes_.inc(decoder.payload_bytes());
+  obs_coeff_work_.inc(decoder.coeff_work());
+  obs_rows_composed_.inc(decoder.rows_composed());
 }
 
 bool FmtcpReceiver::is_decoded(net::BlockId id) const {
@@ -70,7 +77,7 @@ void FmtcpReceiver::on_segment(std::uint32_t subflow, net::Packet& p) {
     auto [it, inserted] = decoders_.try_emplace(
         symbol.block, params_.coding_field, symbol.block_symbols,
         params_.symbol_bytes, params_.carry_payload,
-        &simulator_.buffer_pool(), &coding_metrics_);
+        &simulator_.buffer_pool());
     fountain::SymbolDecoder& decoder = it->second;
     if (!decoder.add_symbol(std::move(symbol))) {
       ++redundant_symbols_;  // Linearly dependent; dropped (§III-B).
@@ -106,6 +113,7 @@ void FmtcpReceiver::on_segment(std::uint32_t subflow, net::Packet& p) {
              symbol.block, static_cast<double>(decoder.received_count()),
              static_cast<double>(decoder.redundant_count())});
       }
+      note_coding_cost(decoder);
       decoders_.erase(it);
       deliver_ready_blocks();
     }

@@ -27,12 +27,15 @@ class FmtcpReceiver final : public tcp::DataSink {
   /// path (see core/stream.h).
   /// `observer` may be null; when set, per-block rank progress,
   /// redundant-symbol detections, and decode completions land on its
-  /// timeline and fmtcp.* metrics, and the decoders' coding-plane costs
-  /// land on the fountain.* counters.
+  /// timeline and fmtcp.* metrics, and every decoder's coding costs
+  /// (SymbolDecoder's accessors) are added to the fountain.payload_bytes,
+  /// fountain.coeff_work and fountain.rows_composed counters when the
+  /// block decodes, or at destruction for blocks still open.
   FmtcpReceiver(sim::Simulator& simulator, const FmtcpParams& params,
                 metrics::GoodputMeter* goodput = nullptr,
                 BlockSink* sink = nullptr,
                 obs::Observer* observer = nullptr);
+  ~FmtcpReceiver() override;
 
   // tcp::DataSink
   void on_segment(std::uint32_t subflow, net::Packet& p) override;
@@ -63,6 +66,8 @@ class FmtcpReceiver final : public tcp::DataSink {
   /// Counts a redundant symbol and emits its timeline event.
   void note_redundant(std::uint32_t subflow, net::BlockId block,
                       std::uint32_t rank);
+  /// Adds `decoder`'s coding costs to the fountain.* counters.
+  void note_coding_cost(const fountain::SymbolDecoder& decoder);
   void deliver_ready_blocks();
   void note_buffer_occupancy();
   net::BlockAck make_block_ack(net::BlockId id) const;
@@ -91,9 +96,9 @@ class FmtcpReceiver final : public tcp::DataSink {
   obs::Counter obs_redundant_;
   obs::Counter obs_blocks_decoded_;
   obs::Counter obs_blocks_delivered_;
-  /// Shared by every decoder of this receiver (fountain.* counters;
-  /// null-safe handles when no observer is attached).
-  fountain::CodingMetrics coding_metrics_;
+  obs::Counter obs_payload_bytes_;
+  obs::Counter obs_coeff_work_;
+  obs::Counter obs_rows_composed_;
   /// Shared decode() workspace: solve/M4R table storage amortises across
   /// every block this receiver decodes.
   fountain::DecodeScratch decode_scratch_;

@@ -70,14 +70,9 @@ std::uint64_t SymbolEncoder::generated_count() const {
 
 SymbolDecoder::SymbolDecoder(CodingField field, std::uint32_t symbols,
                              std::size_t symbol_bytes, bool track_data,
-                             BufferPool* pool, CodingMetrics* metrics)
-    : impl_(field == CodingField::kGf256
-                ? std::variant<BlockDecoder, Gf256RlcDecoder>(
-                      std::in_place_type<Gf256RlcDecoder>, symbols,
-                      symbol_bytes, track_data, pool)
-                : std::variant<BlockDecoder, Gf256RlcDecoder>(
-                      std::in_place_type<BlockDecoder>, symbols, symbol_bytes,
-                      track_data, pool, metrics)) {}
+                             BufferPool* pool)
+    : impl_(make_codec<BlockDecoder, Gf256RlcDecoder>(
+          field, symbols, symbol_bytes, track_data, pool)) {}
 
 bool SymbolDecoder::add_symbol(net::EncodedSymbol&& symbol) {
   return std::visit(
@@ -127,6 +122,24 @@ const BlockData& SymbolDecoder::decode(DecodeScratch& scratch) {
 const BlockData& SymbolDecoder::decode() {
   return std::visit([](auto& d) -> const BlockData& { return d.decode(); },
                     impl_);
+}
+
+std::uint64_t SymbolDecoder::payload_bytes() const {
+  if (const auto* gf2 = std::get_if<BlockDecoder>(&impl_)) {
+    return gf2->payload_bytes_xored();
+  }
+  return std::get<Gf256RlcDecoder>(impl_).payload_bytes_multiplied();
+}
+
+std::uint64_t SymbolDecoder::coeff_work() const {
+  if (const auto* gf2 = std::get_if<BlockDecoder>(&impl_)) {
+    return gf2->coeff_word_xors();
+  }
+  return std::get<Gf256RlcDecoder>(impl_).coeff_bytes_eliminated();
+}
+
+std::uint64_t SymbolDecoder::rows_composed() const {
+  return std::visit([](const auto& d) { return d.rows_composed(); }, impl_);
 }
 
 }  // namespace fmtcp::fountain

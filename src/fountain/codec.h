@@ -58,14 +58,12 @@ class SymbolEncoder {
   std::variant<RandomLinearEncoder, Gf256RlcEncoder> impl_;
 };
 
-/// Per-block decoder in the chosen field. `metrics` (GF(2)-plane obs
-/// counters) applies to the GF(2) decoder; the GF(256) decoder keeps its
-/// own cost counters (gf256_rlc.h accessors).
+/// Per-block decoder in the chosen field.
 class SymbolDecoder {
  public:
   SymbolDecoder(CodingField field, std::uint32_t symbols,
                 std::size_t symbol_bytes, bool track_data,
-                BufferPool* pool = nullptr, CodingMetrics* metrics = nullptr);
+                BufferPool* pool = nullptr);
 
   /// Hot-path form: takes ownership of the symbol's payload bytes.
   bool add_symbol(net::EncodedSymbol&& symbol);
@@ -85,6 +83,16 @@ class SymbolDecoder {
   /// decoder has no cross-block tables and ignores it.
   const BlockData& decode(DecodeScratch& scratch);
   const BlockData& decode();
+
+  // --- Cost introspection, in the held field's units ---
+  /// Payload bytes run through the kernels at decode(): XORed (GF(2))
+  /// or multiply-accumulated (GF(256)).
+  std::uint64_t payload_bytes() const;
+  /// Elimination work on coefficient/composition records: 64-bit words
+  /// XORed (GF(2)) or bytes run through fused multiply ops (GF(256)).
+  std::uint64_t coeff_work() const;
+  /// Source rows materialised at decode().
+  std::uint64_t rows_composed() const;
 
   CodingField field() const {
     return std::holds_alternative<BlockDecoder>(impl_) ? CodingField::kGf2

@@ -42,13 +42,11 @@ inline void xw3(std::uint64_t* dst, const std::uint64_t* a,
 }  // namespace
 
 BlockDecoder::BlockDecoder(std::uint32_t symbols, std::size_t symbol_bytes,
-                           bool track_data, BufferPool* pool,
-                           CodingMetrics* metrics)
+                           bool track_data, BufferPool* pool)
     : symbols_(symbols),
       symbol_bytes_(symbol_bytes),
       track_data_(track_data),
       pool_(pool),
-      metrics_(metrics),
       coeff_words_((symbols + 63) / 64),
       stride_words_(track_data ? 2 * ((symbols + 63) / 64)
                                : (symbols + 63) / 64),
@@ -140,7 +138,6 @@ bool BlockDecoder::add_symbol(const BitVector& coeffs, AlignedBytes&& data) {
     pivot = reduce_track(words);
   }
   coeff_word_xors_ += words;
-  if (metrics_ != nullptr) metrics_->coeff_word_xors.inc(words);
 
   if (pivot >= symbols_) {
     ++redundant_;  // Linearly dependent; dropped (paper §III-B).
@@ -282,11 +279,6 @@ const BlockData& BlockDecoder::decode(DecodeScratch& scratch) {
   coeff_word_xors_ += words;
   rows_composed_ += symbols_;
   payload_bytes_xored_ += bytes;
-  if (metrics_ != nullptr) {
-    metrics_->coeff_word_xors.inc(words);
-    metrics_->payload_bytes_xored.inc(bytes);
-    metrics_->rows_composed.inc(symbols_);
-  }
 
   for (auto& buf : stored_) {
     if (pool_ != nullptr) pool_->release(std::move(buf));

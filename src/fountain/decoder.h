@@ -45,19 +45,8 @@
 #include "fountain/block.h"
 #include "fountain/gf2.h"
 #include "net/packet.h"
-#include "obs/metrics.h"
 
 namespace fmtcp::fountain {
-
-/// Optional coding-plane instrumentation (obs-layer counters, null-safe):
-/// one struct shared by every BlockDecoder of a receiver. Registered by
-/// the receiver as fountain.payload_bytes_xored / fountain.coeff_word_xors
-/// / fountain.rows_composed.
-struct CodingMetrics {
-  obs::Counter payload_bytes_xored;  ///< Payload bytes run through XOR kernels.
-  obs::Counter coeff_word_xors;      ///< 64-bit words XORed in elimination.
-  obs::Counter rows_composed;        ///< Source rows materialised at decode().
-};
 
 /// Reusable decode() workspace: solve tables, M4R payload tables,
 /// inactivation core state. One scratch serves any number of decoders
@@ -94,11 +83,8 @@ class BlockDecoder {
   /// `pool`, when set, receives the payload buffers of dropped redundant
   /// symbols and of stored symbols once the block has been decoded, so
   /// the encoder side of the same simulator can reuse them.
-  /// `metrics`, when set, must outlive the decoder; counters are bumped
-  /// at add_symbol()/decode() granularity (never inside the hot loops).
   BlockDecoder(std::uint32_t symbols, std::size_t symbol_bytes,
-               bool track_data, BufferPool* pool = nullptr,
-               CodingMetrics* metrics = nullptr);
+               bool track_data, BufferPool* pool = nullptr);
 
   /// Inserts a symbol given its expanded coefficients and payload.
   /// Returns true if the symbol was innovative (rank increased).
@@ -150,9 +136,12 @@ class BlockDecoder {
   /// Overrides the decode() strategy choice (tests).
   void set_decode_strategy(DecodeStrategy s) { strategy_ = s; }
 
-  // --- Cost introspection (mirrors the CodingMetrics counters) ---
+  // --- Cost introspection (the receiver exports these as fountain.*) ---
+  /// Payload bytes run through the XOR kernels (decode() only).
   std::uint64_t payload_bytes_xored() const { return payload_bytes_xored_; }
+  /// 64-bit coefficient/composition words XORed in elimination.
   std::uint64_t coeff_word_xors() const { return coeff_word_xors_; }
+  /// Source rows materialised at decode().
   std::uint64_t rows_composed() const { return rows_composed_; }
 
  private:
@@ -214,7 +203,6 @@ class BlockDecoder {
   std::size_t symbol_bytes_;
   bool track_data_;
   BufferPool* pool_ = nullptr;
-  CodingMetrics* metrics_ = nullptr;
   DecodeStrategy strategy_ = DecodeStrategy::kAuto;
   std::uint32_t rank_ = 0;
   std::uint64_t received_ = 0;

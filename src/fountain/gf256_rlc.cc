@@ -118,6 +118,7 @@ Gf256RlcDecoder::Gf256RlcDecoder(std::uint32_t symbols,
 
 bool Gf256RlcDecoder::add_symbol(const std::uint8_t* coeffs,
                                  AlignedBytes&& data) {
+  FMTCP_COUNT("codec.add_symbol", 1);
   ++received_;
   if (complete()) {
     // Late symbol for an already-decodable block: count and recycle.

@@ -81,7 +81,7 @@ void run_clock(sim::Simulator& simulator, const Scenario& scenario) {
 
 /// Copies the scheduler's per-tag dispatch counts into sim.events.*
 /// counters and the buffer pool's lifetime stats into bufferpool.*
-/// gauges so --metrics-json captures both profiles.
+/// gauges so fmtcp_sim's metrics.json captures both profiles.
 void export_dispatch_profile(sim::Simulator& simulator,
                              const Scenario& scenario) {
   if (scenario.observer == nullptr) return;
@@ -116,12 +116,13 @@ net::Topology build_topology(sim::Simulator& simulator,
         std::make_unique<net::TimeVaryingLoss>(
             scenario.path2_loss_schedule));
   }
-  if (scenario.tracer != nullptr) {
+  if (scenario.observer != nullptr) {
+    obs::EventTimeline* timeline = &scenario.observer->timeline;
     for (std::size_t i = 0; i < topology.path_count(); ++i) {
-      topology.path(i).forward().set_tracer(
-          scenario.tracer, static_cast<std::uint32_t>(2 * i));
-      topology.path(i).reverse().set_tracer(
-          scenario.tracer, static_cast<std::uint32_t>(2 * i + 1));
+      topology.path(i).forward().set_timeline(
+          timeline, static_cast<std::uint32_t>(2 * i));
+      topology.path(i).reverse().set_timeline(
+          timeline, static_cast<std::uint32_t>(2 * i + 1));
     }
   }
   return topology;

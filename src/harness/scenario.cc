@@ -77,12 +77,12 @@ std::unique_ptr<tcp::Connection> make_connection(
     const ProtocolOptions& options, obs::Observer* observer) {
   tcp::SubflowConfig subflow = options.subflow;
   subflow.observer = observer;
+  subflow.enable_sack = options.sack;
   switch (protocol) {
     case Protocol::kFmtcp: {
       core::FmtcpConnectionConfig config;
       config.params = options.fmtcp;
       config.subflow = subflow;
-      config.subflow.enable_sack = options.sack;
       config.receiver.delayed_acks = options.delayed_acks;
       config.use_lia = options.fmtcp_use_lia;
       config.goodput_bin = options.goodput_bin;
@@ -92,7 +92,6 @@ std::unique_ptr<tcp::Connection> make_connection(
     case Protocol::kMptcp: {
       mptcp::MptcpConnectionConfig config;
       config.subflow = subflow;
-      config.subflow.enable_sack = options.sack;
       config.sender.segment_bytes = options.subflow.mss_payload;
       config.sender.metric_block_bytes = options.fmtcp.block_bytes();
       config.sender.scheduler = options.mptcp_scheduler;
@@ -104,7 +103,7 @@ std::unique_ptr<tcp::Connection> make_connection(
       config.observer = observer;
       return std::make_unique<mptcp::MptcpConnection>(simulator, config);
     }
-    // HMTP and fixed-rate take neither the SACK nor the delayed-ACK
+    // HMTP and fixed-rate take neither the delayed-ACK nor the LIA
     // option, and report through their subflows only.
     case Protocol::kHmtp:
       return std::make_unique<baselines::HmtpConnection>(

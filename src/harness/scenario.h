@@ -12,7 +12,6 @@
 #include "mptcp/scheduler.h"
 #include "net/loss_model.h"
 #include "net/path.h"
-#include "net/trace.h"
 #include "obs/observer.h"
 #include "sim/simulator.h"
 #include "tcp/subflow.h"
@@ -45,14 +44,12 @@ struct Scenario {
   /// empty = constant path2.loss.
   std::vector<net::TimeVaryingLoss::Step> path2_loss_schedule;
 
-  /// Optional packet tracer (not owned) attached to every link: forward
-  /// links get ids 2*path, reverse links 2*path+1.
-  net::PacketTracer* tracer = nullptr;
-
   /// Optional observability sink (not owned): metrics and timeline
   /// events from every layer of the run, plus per-sim-second event-loop
-  /// progress records and a scheduler dispatch profile (sim.events.*
-  /// counters). Null = off, with near-zero overhead.
+  /// progress records, a scheduler dispatch profile (sim.events.*
+  /// counters) and every link's packet events (forward links get ids
+  /// 2*path, reverse links 2*path+1). Null = off, with near-zero
+  /// overhead.
   obs::Observer* observer = nullptr;
 
   net::PathConfig path_config(const PathSpec& spec) const;

@@ -1,7 +1,10 @@
 #include "harness/sweep.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <utility>
 
@@ -48,12 +51,10 @@ void SweepRunner::run_streaming(const ResultSink& sink) {
     return;
   }
 
-  // Tracers and observers are single-threaded; concurrent cells must not
-  // share them.
+  // Observers are single-threaded; concurrent cells must not share one.
   // NOLINT-DETERMINISM(duplicate-check membership only, never iterated)
   std::set<const void*> observers;
   for (const SweepJob& job : jobs) {
-    FMTCP_CHECK(job.scenario.tracer == nullptr);
     if (job.scenario.observer != nullptr) {
       FMTCP_CHECK(observers.insert(job.scenario.observer).second);
     }
@@ -125,7 +126,10 @@ void SweepRunner::run_streaming(const ResultSink& sink) {
 unsigned jobs_from_flags(FlagParser& flags) {
   const std::int64_t jobs = flags.get_int(
       "jobs", 0, "max concurrent simulations (0 = hardware concurrency)");
-  FMTCP_CHECK(jobs >= 0);
+  if (jobs < 0 || jobs > UINT_MAX) {
+    std::fprintf(stderr, "--jobs must be in [0, %u]\n", UINT_MAX);
+    std::exit(2);
+  }
   return static_cast<unsigned>(jobs);
 }
 

@@ -39,8 +39,7 @@ class SweepRunner {
 
   /// Runs every queued cell and returns results in submission order;
   /// the queue is cleared for reuse. With jobs > 1, queued scenarios
-  /// must not carry tracers and must not share a non-null observer
-  /// (neither is thread-safe).
+  /// must not share a non-null observer (it is not thread-safe).
   std::vector<RunResult> run();
 
   /// Per-cell result callback for run_streaming: the cell's submission
@@ -55,7 +54,7 @@ class SweepRunner {
   /// flight or buffered at once, so arbitrarily large grids run in
   /// bounded memory; completed-prefix delivery is what makes an output
   /// log double as a crash-resume manifest. Results are bit-identical
-  /// to run() at any `jobs` value. Same tracer/observer rules as run().
+  /// to run() at any `jobs` value. Same observer rule as run().
   void run_streaming(const ResultSink& sink);
 
   unsigned jobs() const { return jobs_; }
@@ -67,7 +66,8 @@ class SweepRunner {
 };
 
 /// Registers and parses the shared `--jobs` flag (0 = hardware
-/// concurrency) for the bench/tool binaries.
+/// concurrency) for the bench/tool binaries; a value outside
+/// [0, UINT_MAX] exits 2 naming the flag.
 unsigned jobs_from_flags(FlagParser& flags);
 
 /// Runs every job, `threads` at a time (0 = hardware concurrency).

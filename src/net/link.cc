@@ -18,18 +18,20 @@ Link::Link(sim::Simulator& simulator, const LinkConfig& config,
   FMTCP_CHECK(config_.prop_delay >= 0);
 }
 
-void Link::trace(TraceEvent event, const Packet& p) const {
-  if (tracer_ != nullptr) {
-    tracer_->on_packet(event, simulator_.now(), trace_link_id_, p);
+void Link::emit(obs::EventType type, const Packet& p) const {
+  if (timeline_ != nullptr) {
+    timeline_->emit({type, link_id_, simulator_.now(), p.uid,
+                     static_cast<double>(p.size_bytes),
+                     static_cast<double>(p.seq)});
   }
 }
 
 void Link::send(Packet p) {
   ++sent_;
-  if (tracer_ != nullptr) {
-    trace(queue_.would_overflow(p.size_bytes) ? TraceEvent::kQueueDrop
-                                              : TraceEvent::kEnqueue,
-          p);
+  if (timeline_ != nullptr) {
+    emit(queue_.would_overflow(p.size_bytes) ? obs::EventType::kPktQueueDrop
+                                             : obs::EventType::kPktEnqueue,
+         p);
   }
   if (!queue_.push(std::move(p))) return;
   if (!busy_) start_transmission();
@@ -63,7 +65,7 @@ void Link::start_transmission() {
             loss_ != nullptr && loss_->should_drop(simulator_.now(), rng_);
         if (dropped) {
           ++channel_drops_;
-          trace(TraceEvent::kChannelDrop, p);
+          emit(obs::EventType::kPktChannelDrop, p);
         } else {
           SimTime delay = config_.prop_delay;
           if (config_.prop_jitter_mean > 0) {
@@ -73,7 +75,7 @@ void Link::start_transmission() {
           simulator_.schedule_in(delay, "link.deliver",
                                  [this, p = std::move(p)]() mutable {
                                    ++delivered_;
-                                   trace(TraceEvent::kDeliver, p);
+                                   emit(obs::EventType::kPktDeliver, p);
                                    FMTCP_CHECK(sink_ != nullptr);
                                    sink_(std::move(p));
                                  });

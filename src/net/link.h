@@ -14,7 +14,7 @@
 #include "net/loss_model.h"
 #include "net/packet.h"
 #include "net/queue.h"
-#include "net/trace.h"
+#include "obs/timeline.h"
 #include "sim/simulator.h"
 
 namespace fmtcp::net {
@@ -58,11 +58,12 @@ class Link {
   /// Replaces the loss model mid-run (e.g. for handover scenarios).
   void set_loss_model(std::unique_ptr<LossModel> loss);
 
-  /// Attaches an observer (not owned; null detaches). `link_id` labels
-  /// this link in the trace.
-  void set_tracer(PacketTracer* tracer, std::uint32_t link_id = 0) {
-    tracer_ = tracer;
-    trace_link_id_ = link_id;
+  /// Emits this link's packet events (enqueue, queue drop, channel
+  /// drop, deliver) to `timeline` (not owned; null detaches). `link_id`
+  /// labels this link in the records' `sf` field.
+  void set_timeline(obs::EventTimeline* timeline, std::uint32_t link_id = 0) {
+    timeline_ = timeline;
+    link_id_ = link_id;
   }
 
   /// The loss model's configured rate at the current time (0 if none).
@@ -79,7 +80,7 @@ class Link {
  private:
   void start_transmission();
   SimTime serialization_time(std::size_t bytes) const;
-  void trace(TraceEvent event, const Packet& p) const;
+  void emit(obs::EventType type, const Packet& p) const;
 
   sim::Simulator& simulator_;
   LinkConfig config_;
@@ -87,8 +88,8 @@ class Link {
   Rng rng_;
   DropTailQueue queue_;
   Sink sink_;
-  PacketTracer* tracer_ = nullptr;
-  std::uint32_t trace_link_id_ = 0;
+  obs::EventTimeline* timeline_ = nullptr;
+  std::uint32_t link_id_ = 0;
   bool busy_ = false;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;

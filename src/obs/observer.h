@@ -1,7 +1,8 @@
 // The per-run observability context: one metrics registry plus one event
-// timeline, attached to a run the way a PacketTracer is — a non-owned
-// pointer threaded through the configs (Scenario.observer,
-// FmtcpConnectionConfig.observer, SubflowConfig.observer, ...).
+// timeline, attached to a run as a non-owned pointer threaded through the
+// configs (Scenario.observer, FmtcpConnectionConfig.observer,
+// SubflowConfig.observer, ...). The harness also attaches the timeline
+// to every link (net::Link::set_timeline), so packet events share it.
 //
 // Null observer (the default everywhere) means zero instrumentation
 // cost beyond a pointer test at each site, so benches keep their seed

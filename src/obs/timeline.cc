@@ -75,6 +75,14 @@ const char* event_type_name(EventType type) {
       return "reinjection";
     case EventType::kSimProgress:
       return "sim_progress";
+    case EventType::kPktEnqueue:
+      return "pkt_enqueue";
+    case EventType::kPktQueueDrop:
+      return "pkt_queue_drop";
+    case EventType::kPktChannelDrop:
+      return "pkt_channel_drop";
+    case EventType::kPktDeliver:
+      return "pkt_deliver";
   }
   return "?";
 }

@@ -2,11 +2,11 @@
 //
 // Instrumentation points across the stack emit typed records — cwnd
 // changes, RTO fires, fountain decode progress, EAT predictions,
-// scheduler decisions, sim-loop progress — into one per-run timeline.
-// Records land in a bounded in-memory ring (tests, post-run inspection)
-// and, when a path is attached, in a JSONL file (one JSON object per
-// line) for offline analysis; `tools/trace_summary --timeline` aggregates
-// such files.
+// scheduler decisions, sim-loop progress, per-link packet events (the
+// ns-2 trace-file equivalent) — into one per-run timeline. Records land
+// in a bounded in-memory ring (tests, post-run inspection) and, when a
+// path is attached, in a JSONL file (one JSON object per line) for
+// offline analysis; `tools/trace_summary` aggregates such files.
 //
 // The record is a fixed-size POD with two generic value fields; the
 // meaning of `subflow`/`id`/`a`/`b` is per-type (see the field table in
@@ -36,6 +36,12 @@ enum class EventType : std::uint8_t {
   kSchedulerGrant,  ///< subflow, id=data_seq, a=data_len.
   kReinjection,     ///< subflow=target, id=data_seq, a=lost-on subflow.
   kSimProgress,     ///< a=wall ms for the last sim-second, b=events run.
+  // Packet events from net::Link: sf=link id, id=packet uid, a=size in
+  // bytes, b=seq. Kept last: the summary tells them apart by order.
+  kPktEnqueue,      ///< Packet handed to the link (entered the queue).
+  kPktQueueDrop,    ///< Drop-tail overflow.
+  kPktChannelDrop,  ///< Erased by the loss model after transmission.
+  kPktDeliver,      ///< Arrived at the sink.
 };
 
 /// Stable string tag used in the JSONL `ev` field.

@@ -44,7 +44,9 @@ const std::vector<EventType>& all_event_types() {
       EventType::kBlockDelivered, EventType::kEatPrediction,
       EventType::kEatOutcome,     EventType::kAllocation,
       EventType::kSchedulerGrant, EventType::kReinjection,
-      EventType::kSimProgress,
+      EventType::kSimProgress,    EventType::kPktEnqueue,
+      EventType::kPktQueueDrop,   EventType::kPktChannelDrop,
+      EventType::kPktDeliver,
   };
   return types;
 }
@@ -58,7 +60,50 @@ std::string fmt_line(const char* format, ...) {
   return buffer;
 }
 
+/// Folds one pkt_* record into its link's stats; false for any other
+/// type.
+bool note_packet(const TimelineEvent& event, double t_s,
+                 TimelineSummary& summary) {
+  if (event.type < EventType::kPktEnqueue) return false;
+  LinkTimelineStats& link = summary.per_link[event.subflow];
+  if (link.enqueued + link.queue_drops + link.channel_drops +
+          link.delivered ==
+      0) {
+    link.first_event_s = t_s;
+  }
+  link.last_event_s = std::max(link.last_event_s, t_s);
+  switch (event.type) {
+    case EventType::kPktEnqueue:
+      ++link.enqueued;
+      break;
+    case EventType::kPktQueueDrop:
+      ++link.queue_drops;
+      break;
+    case EventType::kPktChannelDrop:
+      ++link.channel_drops;
+      break;
+    default:  // kPktDeliver
+      ++link.delivered;
+      link.delivered_bytes += static_cast<std::uint64_t>(event.a);
+      break;
+  }
+  return true;
+}
+
 }  // namespace
+
+double LinkTimelineStats::channel_loss_rate() const {
+  const std::uint64_t transmitted = delivered + channel_drops;
+  if (transmitted == 0) return 0.0;
+  return static_cast<double>(channel_drops) /
+         static_cast<double>(transmitted);
+}
+
+double LinkTimelineStats::delivery_rate_Bps() const {
+  const double span = last_event_s - first_event_s;
+  if (span <= 0.0) return 0.0;
+  return static_cast<double>(delivered_bytes) / span;
+}
 
 bool parse_jsonl_line(const std::string& line, TimelineEvent& event) {
   std::string name;
@@ -105,6 +150,7 @@ TimelineSummary summarize_timeline(std::istream& in) {
     summary.last_event_s = t_s;
     ++summary.total_events;
     ++summary.per_type[event_type_name(event.type)];
+    if (note_packet(event, t_s, summary)) continue;
 
     SubflowTimelineStats& sf = summary.per_subflow[event.subflow];
     switch (event.type) {
@@ -151,8 +197,7 @@ TimelineSummary summarize_timeline(std::istream& in) {
       case EventType::kBlockDelivered:
         ++summary.blocks_delivered;
         break;
-      case EventType::kEatPrediction:
-      case EventType::kSimProgress:
+      default:  // kEatPrediction, kSimProgress: counted per type only.
         break;
     }
   }
@@ -230,6 +275,19 @@ std::string format_timeline_summary(const TimelineSummary& summary) {
         summary.mean_symbols_per_block,
         static_cast<unsigned long long>(summary.redundant_symbols),
         static_cast<unsigned long long>(summary.rank_progress_events));
+  }
+  if (!summary.per_link.empty()) {
+    out += "\nper link:\n";
+    out += "link  enqueued  qdrops  chdrops  delivered  loss%   rate(B/s)\n";
+    for (const auto& [id, link] : summary.per_link) {
+      out += fmt_line("%-5u %-9llu %-7llu %-8llu %-10llu %-6.2f %.0f\n", id,
+                      static_cast<unsigned long long>(link.enqueued),
+                      static_cast<unsigned long long>(link.queue_drops),
+                      static_cast<unsigned long long>(link.channel_drops),
+                      static_cast<unsigned long long>(link.delivered),
+                      link.channel_loss_rate() * 100.0,
+                      link.delivery_rate_Bps());
+    }
   }
   return out;
 }

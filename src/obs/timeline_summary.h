@@ -1,6 +1,5 @@
 // Aggregates a JSONL event timeline (EventTimeline's file sink) into
-// per-subflow and per-block summaries — the timeline counterpart of
-// net/trace_summary.h for packet traces.
+// per-subflow, per-block and per-link summaries.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +30,22 @@ struct SubflowTimelineStats {
   double mean_abs_eat_error_s = 0.0;
 };
 
+/// Packet events of one link (pkt_* records; sf = link id).
+struct LinkTimelineStats {
+  std::uint64_t enqueued = 0;
+  std::uint64_t queue_drops = 0;
+  std::uint64_t channel_drops = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t delivered_bytes = 0;
+  double first_event_s = 0.0;
+  double last_event_s = 0.0;
+
+  /// Fraction of transmitted packets the channel erased.
+  double channel_loss_rate() const;
+  /// Delivered bytes over the link's observed span (bytes/second).
+  double delivery_rate_Bps() const;
+};
+
 struct TimelineSummary {
   std::uint64_t total_events = 0;
   std::map<std::string, std::uint64_t> per_type;
@@ -45,6 +60,8 @@ struct TimelineSummary {
   double mean_symbols_per_block = 0.0;
   double first_decode_s = 0.0;
   double last_decode_s = 0.0;
+
+  std::map<std::uint32_t, LinkTimelineStats> per_link;
 
   double first_event_s = 0.0;
   double last_event_s = 0.0;

@@ -1,12 +1,11 @@
 #include "obs/trace/chrome_trace.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <istream>
 #include <map>
 #include <vector>
-
-#include "common/check.h"
 
 namespace fmtcp::obs::trace {
 
@@ -123,21 +122,6 @@ std::string to_chrome_trace_json(const TraceReport& report) {
                 static_cast<unsigned long long>(report.dropped_records));
   out += line;
   return out;
-}
-
-void write_chrome_trace(const TraceReport& report,
-                        const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "trace: cannot open '%s' for writing\n",
-                 path.c_str());
-    FMTCP_CHECK(file != nullptr);
-  }
-  const std::string json = to_chrome_trace_json(report);
-  const std::size_t written =
-      std::fwrite(json.data(), 1, json.size(), file);
-  FMTCP_CHECK(written == json.size());
-  FMTCP_CHECK(std::fclose(file) == 0);
 }
 
 ChromeTraceSummary summarize_chrome_trace(std::istream& in) {

@@ -1,6 +1,6 @@
 // Chrome trace_events exporter for TraceReport records, plus the
 // reader that aggregates such a file back into a span table
-// (`tools/trace_summary --spans`).
+// (`tools/trace_summary`).
 //
 // The output is the "JSON object format" chrome://tracing and Perfetto
 // both load: {"traceEvents":[...],"displayTimeUnit":"ms"} with one
@@ -10,7 +10,6 @@
 // in "args" ("self_us", "arg", "id", "parent").
 #pragma once
 
-#include <cstdio>
 #include <iosfwd>
 #include <string>
 
@@ -22,11 +21,6 @@ namespace fmtcp::obs::trace {
 /// file is greppable). Reports drained with capture_records=false
 /// produce an empty traceEvents array.
 std::string to_chrome_trace_json(const TraceReport& report);
-
-/// Writes to_chrome_trace_json() to `path`, failing the run loudly if
-/// the file cannot be opened or fully written.
-void write_chrome_trace(const TraceReport& report,
-                        const std::string& path);
 
 /// Re-aggregates a Chrome trace produced by this exporter: parses the
 /// "ph":"X" events and rebuilds per-span-name statistics (percentiles

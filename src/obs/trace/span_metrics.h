@@ -1,6 +1,6 @@
 // Folds a drained TraceReport into a MetricsRegistry so span profiles
-// ride along in `--metrics-json` output next to the run's protocol
-// metrics. Lives in fmtcp_obs (not fmtcp_trace) because it is the one
+// ride along in `fmtcp_sim --obs-dir`'s metrics.json next to the run's
+// protocol metrics. Lives in fmtcp_obs (not fmtcp_trace) because it is the one
 // trace-plane piece that depends on the registry.
 //
 // Naming scheme, per span name S:

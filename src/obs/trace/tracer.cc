@@ -271,7 +271,7 @@ TraceReport stop() {
 
   // Per-thread shards already key by name content; the std::map here
   // merges across threads and fixes the emission order (sorted by name,
-  // so --profile / trace_summary --spans tables are byte-stable for a
+  // so --profile / trace_summary spans.json tables are byte-stable for a
   // given set of span names).
   struct MergedSpan {
     SpanAggregate agg;

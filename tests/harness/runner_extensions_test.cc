@@ -31,6 +31,27 @@ TEST(RunnerExtensions, SackChangesMptcpBehaviour) {
   EXPECT_GT(with.delivered_bytes, without.delivered_bytes);
 }
 
+// SACK is a subflow option, so it reaches the baselines too.
+TEST(RunnerExtensions, SackChangesHmtpAndFixedRateBehaviour) {
+  Scenario scenario = lossy_scenario();
+  scenario.path2.loss = 0.10;
+  ProtocolOptions base = ProtocolOptions::defaults();
+  ProtocolOptions sack = base;
+  sack.sack = true;
+  for (const Protocol protocol : {Protocol::kHmtp, Protocol::kFixedRate}) {
+    const RunResult without = run_scenario(protocol, scenario, base);
+    const RunResult with = run_scenario(protocol, scenario, sack);
+    EXPECT_NE(with.sim_events, without.sim_events)
+        << protocol_name(protocol);
+    ASSERT_EQ(with.subflows.size(), 2u);
+    // The lossy subflow recovers differently.
+    EXPECT_NE(with.subflows[1].segments_sent,
+              without.subflows[1].segments_sent)
+        << protocol_name(protocol);
+    EXPECT_TRUE(with.payload_ok) << protocol_name(protocol);
+  }
+}
+
 TEST(RunnerExtensions, ReinjectionToggleReachesSender) {
   ProtocolOptions base = ProtocolOptions::defaults();
   ProtocolOptions reinject = base;

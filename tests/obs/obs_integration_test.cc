@@ -3,9 +3,11 @@
 // observability on must not change protocol behaviour.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
+#include "fountain/coding_field.h"
 #include "harness/runner.h"
 #include "obs/observer.h"
 
@@ -89,6 +91,62 @@ TEST(ObsIntegration, MptcpRunEmitsSchedulerEvents) {
       observer.timeline.recent(obs::EventType::kSchedulerGrant).size(), 0u);
   EXPECT_GT(observer.metrics.counter_value("mptcp.scheduler_grants"), 0u);
   EXPECT_GT(observer.metrics.counter_value("tcp.segments_sent"), 0u);
+}
+
+TEST(ObsIntegration, PacketEventsCoverEveryLink) {
+  obs::Observer observer(1u << 18);  // Ring big enough for the whole run.
+  Scenario scenario = lossy_scenario();
+  scenario.observer = &observer;
+  run_scenario(Protocol::kFmtcp, scenario);
+  ASSERT_LT(observer.timeline.emitted(), 1u << 18);
+
+  // Harness link ids: 2*path forward (data), 2*path+1 reverse (ACKs).
+  std::map<std::uint32_t, std::uint64_t> enqueued, delivered, channel_drops;
+  for (const obs::TimelineEvent& event :
+       observer.timeline.recent(obs::EventType::kPktEnqueue)) {
+    ++enqueued[event.subflow];
+  }
+  for (const obs::TimelineEvent& event :
+       observer.timeline.recent(obs::EventType::kPktDeliver)) {
+    ++delivered[event.subflow];
+  }
+  for (const obs::TimelineEvent& event :
+       observer.timeline.recent(obs::EventType::kPktChannelDrop)) {
+    ++channel_drops[event.subflow];
+  }
+  for (std::uint32_t link = 0; link < 4; ++link) {
+    EXPECT_GT(enqueued[link], 0u) << "link " << link;
+    EXPECT_GT(delivered[link], 0u) << "link " << link;
+  }
+  EXPECT_EQ(enqueued.size(), 4u);
+  // Only path 2's data direction is lossy.
+  EXPECT_EQ(channel_drops.size(), 1u);
+  EXPECT_GT(channel_drops[2], 0u);
+  // One pkt_deliver record per link.deliver dispatch.
+  EXPECT_EQ(observer.timeline.recent(obs::EventType::kPktDeliver).size(),
+            observer.metrics.counter_value("sim.events.link.deliver"));
+}
+
+TEST(ObsIntegration, CodecCostCountersInBothFields) {
+  for (const fountain::CodingField field :
+       {fountain::CodingField::kGf2, fountain::CodingField::kGf256}) {
+    obs::Observer observer;
+    Scenario scenario = lossy_scenario();
+    scenario.observer = &observer;
+    ProtocolOptions options = ProtocolOptions::defaults();
+    options.fmtcp.coding_field = field;
+    run_scenario(Protocol::kFmtcp, scenario, options);
+    const obs::MetricsRegistry& metrics = observer.metrics;
+    const char* name = fountain::coding_field_name(field);
+    const std::uint64_t decoded =
+        metrics.counter_value("fmtcp.blocks_decoded");
+    EXPECT_GT(decoded, 0u) << name;
+    EXPECT_GT(metrics.counter_value("fountain.payload_bytes"), 0u) << name;
+    EXPECT_GT(metrics.counter_value("fountain.coeff_work"), 0u) << name;
+    EXPECT_EQ(metrics.counter_value("fountain.rows_composed"),
+              decoded * options.fmtcp.block_symbols)
+        << name;
+  }
 }
 
 TEST(ObsIntegration, RtoEventsAppearUnderHeavyLoss) {

@@ -50,7 +50,7 @@ TEST(EventTimeline, RecentFiltersByType) {
 }
 
 TEST(Timeline, EveryEventTypeHasAStableName) {
-  for (int i = 0; i <= static_cast<int>(EventType::kSimProgress); ++i) {
+  for (int i = 0; i <= static_cast<int>(EventType::kPktDeliver); ++i) {
     EXPECT_STRNE(event_type_name(static_cast<EventType>(i)), "?");
   }
 }
@@ -75,7 +75,7 @@ TEST(Timeline, JsonlRoundTripsEveryField) {
 }
 
 TEST(Timeline, JsonlRoundTripsEveryType) {
-  for (int i = 0; i <= static_cast<int>(EventType::kSimProgress); ++i) {
+  for (int i = 0; i <= static_cast<int>(EventType::kPktDeliver); ++i) {
     const TimelineEvent event =
         make_event(static_cast<EventType>(i), static_cast<std::uint64_t>(i));
     TimelineEvent parsed;
@@ -164,6 +164,60 @@ TEST(TimelineSummary, AggregatesPerSubflowAndPerBlock) {
   EXPECT_NE(report.find("blocks: 2 decoded"), std::string::npos);
 }
 
+TEST(TimelineSummary, AggregatesPacketEventsPerLink) {
+  std::string lines;
+  lines += to_jsonl({EventType::kPktEnqueue, 0, from_seconds(0.0), 1, 140.0,
+                     0.0}) + "\n";
+  lines += to_jsonl({EventType::kPktDeliver, 0, from_seconds(0.1), 1, 140.0,
+                     0.0}) + "\n";
+  lines += to_jsonl({EventType::kPktEnqueue, 0, from_seconds(0.2), 2, 140.0,
+                     1.0}) + "\n";
+  lines += to_jsonl({EventType::kPktChannelDrop, 0, from_seconds(0.25), 2,
+                     140.0, 1.0}) + "\n";
+  lines += to_jsonl({EventType::kPktQueueDrop, 0, from_seconds(0.3), 3,
+                     140.0, 2.0}) + "\n";
+  lines += to_jsonl({EventType::kPktEnqueue, 1, from_seconds(0.3), 4, 48.0,
+                     0.0}) + "\n";
+  lines += to_jsonl({EventType::kPktDeliver, 1, from_seconds(0.4), 4, 48.0,
+                     0.0}) + "\n";
+  lines += "{\"ev\":\"pkt_bogus\",\"t\":0.5,\"sf\":0,\"id\":5}\n";
+
+  std::istringstream in(lines);
+  const TimelineSummary summary = summarize_timeline(in);
+  EXPECT_EQ(summary.total_events, 7u);
+  EXPECT_EQ(summary.malformed_lines, 1u);
+  EXPECT_TRUE(summary.per_subflow.empty());
+  ASSERT_EQ(summary.per_link.size(), 2u);
+
+  const LinkTimelineStats& link0 = summary.per_link.at(0);
+  EXPECT_EQ(link0.enqueued, 2u);
+  EXPECT_EQ(link0.queue_drops, 1u);
+  EXPECT_EQ(link0.channel_drops, 1u);
+  EXPECT_EQ(link0.delivered, 1u);
+  EXPECT_EQ(link0.delivered_bytes, 140u);
+  EXPECT_DOUBLE_EQ(link0.channel_loss_rate(), 0.5);
+  EXPECT_NEAR(link0.delivery_rate_Bps(), 140.0 / 0.3, 1e-6);
+
+  const LinkTimelineStats& link1 = summary.per_link.at(1);
+  EXPECT_EQ(link1.enqueued, 1u);
+  EXPECT_EQ(link1.delivered, 1u);
+  EXPECT_NEAR(link1.delivery_rate_Bps(), 48.0 / 0.1, 1e-6);
+
+  const std::string report = format_timeline_summary(summary);
+  EXPECT_NE(report.find("enqueued  qdrops  chdrops  delivered"),
+            std::string::npos);
+  EXPECT_NE(report.find("pkt_channel_drop"), std::string::npos);
+}
+
+TEST(TimelineSummary, EmptyInput) {
+  std::istringstream in("");
+  const TimelineSummary summary = summarize_timeline(in);
+  EXPECT_EQ(summary.total_events, 0u);
+  EXPECT_TRUE(summary.per_link.empty());
+  EXPECT_EQ(format_timeline_summary(summary).find("per link"),
+            std::string::npos);
+}
+
 TEST(Timeline, JsonEscapeHandlesSpecialsAndControlChars) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
@@ -176,7 +230,7 @@ TEST(Timeline, JsonEscapeHandlesSpecialsAndControlChars) {
 }
 
 TEST(Timeline, JsonlLinesNeverContainRawNewlines) {
-  for (int i = 0; i <= static_cast<int>(EventType::kSimProgress); ++i) {
+  for (int i = 0; i <= static_cast<int>(EventType::kPktDeliver); ++i) {
     const std::string line =
         to_jsonl({static_cast<EventType>(i), 0, 0, 0, 0.0, 0.0});
     EXPECT_EQ(line.find('\n'), std::string::npos);

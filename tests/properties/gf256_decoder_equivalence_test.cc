@@ -17,6 +17,7 @@
 #include "fountain/codec.h"
 #include "fountain/gf256.h"
 #include "fountain/gf256_rlc.h"
+#include "obs/trace/tracer.h"
 
 namespace fmtcp::fountain {
 namespace {
@@ -246,6 +247,31 @@ TEST(SymbolCodecWrapper, Gf256RoundTripBehindProtocolInterface) {
   DecodeScratch scratch;
   EXPECT_EQ(decoder.decode(scratch).bytes(),
             make_deterministic_block(9, k, symbol_bytes).bytes());
+}
+
+// The span tracer's codec.add_symbol counter covers both fields: one
+// per symbol handed to the decoder, innovative or not.
+TEST(Gf256RlcDecoder, SpanTracerCountsEveryAddedSymbol) {
+  const std::uint32_t k = 16;
+  Gf256RlcEncoder encoder(1, make_deterministic_block(1, k, 24), Rng(9));
+  Gf256RlcDecoder decoder(k, 24, /*track_data=*/true);
+  obs::trace::start({});
+  std::uint64_t added = 0;
+  while (!decoder.complete()) {
+    decoder.add_symbol(encoder.next_symbol());
+    ++added;
+  }
+  decoder.add_symbol(encoder.next_symbol());  // Late, still counted.
+  ++added;
+  decoder.decode();
+  const obs::trace::TraceReport report = obs::trace::stop();
+
+  std::uint64_t counted = 0;
+  for (const obs::trace::CounterAggregate& counter : report.counters) {
+    if (counter.name == "codec.add_symbol") counted = counter.value;
+  }
+  EXPECT_EQ(counted, added);
+  EXPECT_EQ(decoder.received_count(), added);
 }
 
 }  // namespace

@@ -171,30 +171,5 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(4u, 16u, 24u, 64u, 128u),
                        ::testing::Bool()));
 
-TEST(LazyDecoder, CodingMetricsCountersMirrorAccessors) {
-  obs::MetricsRegistry registry;
-  CodingMetrics metrics;
-  metrics.payload_bytes_xored =
-      registry.counter("fountain.payload_bytes_xored");
-  metrics.coeff_word_xors = registry.counter("fountain.coeff_word_xors");
-  metrics.rows_composed = registry.counter("fountain.rows_composed");
-
-  const std::uint32_t k = 32;
-  Rng rng(5);
-  RandomLinearEncoder encoder(1, make_deterministic_block(1, k, 16),
-                              rng.fork());
-  BlockDecoder decoder(k, 16, /*track_data=*/true, /*pool=*/nullptr,
-                       &metrics);
-  while (!decoder.complete()) decoder.add_symbol(encoder.next_symbol());
-  decoder.decode();
-
-  EXPECT_EQ(registry.counter_value("fountain.payload_bytes_xored"),
-            decoder.payload_bytes_xored());
-  EXPECT_EQ(registry.counter_value("fountain.coeff_word_xors"),
-            decoder.coeff_word_xors());
-  EXPECT_EQ(registry.counter_value("fountain.rows_composed"), k);
-  EXPECT_GT(decoder.coeff_word_xors(), 0u);
-}
-
 }  // namespace
 }  // namespace fmtcp::fountain

@@ -19,6 +19,7 @@ BAD_VALUES = [
     ("--grid-protocols=foo", "--grid-protocols"),
     ("--grid-protocols=fmtcp,tcp", "--grid-protocols"),
     ("--seconds=1s", "--seconds"),
+    ("--jobs=-1", "--jobs"),
 ]
 
 # One tiny cell per protocol spelling.

@@ -8,7 +8,7 @@ that starts at t=0.
 import subprocess
 import sys
 
-# (argument, flag the error message must name)
+# (arguments, flag the error message must name)
 BAD_VALUES = [
     ("--surge=5:abc", "--surge"),
     ("--surge=5", "--surge"),
@@ -31,6 +31,12 @@ BAD_VALUES = [
     ("--loss2=abc", "--loss2"),
     ("--queue=12x", "--queue"),
     ("--protocol=foo", "--protocol"),
+    ("--jobs=-1", "--jobs"),
+    ("--seeds=0", "--seeds"),
+    ("--seeds=4294967298", "--seeds"),
+    # The baselines have no delayed-ACK or LIA option.
+    ("--protocol=hmtp --delayed_acks", "--delayed_acks"),
+    ("--protocol=fixedrate --lia", "--lia"),
 ]
 
 
@@ -43,7 +49,8 @@ def main(argv):
     sim = argv[1]
     failures = []
     for arg, flag in BAD_VALUES:
-        result = run(sim, "--duration=1", arg)  # A later value wins.
+        # A later value wins.
+        result = run(sim, "--duration=1", *arg.split())
         if result.returncode != 2 or flag not in result.stderr:
             failures.append(f"{arg}: exit {result.returncode}, "
                             f"stderr {result.stderr.strip()!r}")

@@ -126,7 +126,9 @@ if [ "${FMTCP_TSAN:-0}" = "1" ]; then
   (cd "$build" && ctest --output-on-failure -j "$(nproc)" \
     -R 'ThreadPool|SweepRunner|Sweep\.|PacketUid|UidsUnique|GlobalUids|SpanTracer')
   "$build/tools/fmtcp_sim" --seeds=4 --jobs=4 --duration=2 \
-    --trace-out="$build/check_spans.json"
+    --obs-dir="$build/check_obs_seeds"
+  "$build/tools/trace_summary" "$build/check_obs_seeds/spans.json"
+  python3 -m json.tool "$build/check_obs_seeds/spans.json" > /dev/null
 
   echo "check.sh (tsan): all good"
   exit 0
@@ -141,16 +143,14 @@ cmake --build "$build" -j "$(nproc)"
 (cd "$build" && ctest --output-on-failure -j "$(nproc)")
 
 # A short observability-instrumented run exercises the JSONL/JSON
-# writers under the sanitizers too, and the --trace-out output must
-# parse as valid JSON (Perfetto/chrome://tracing compatibility).
+# writers under the sanitizers too, and spans.json must parse as valid
+# JSON (Perfetto/chrome://tracing compatibility).
 "$build/tools/fmtcp_sim" --protocol=fmtcp --loss2=0.15 --duration=5 \
-  --metrics-json="$build/check_metrics.json" \
-  --timeline="$build/check_timeline.jsonl" \
-  --trace-out="$build/check_spans.json" --profile
-"$build/tools/trace_summary" --timeline "$build/check_timeline.jsonl"
-"$build/tools/trace_summary" --spans "$build/check_spans.json"
-python3 -m json.tool "$build/check_spans.json" > /dev/null
-python3 -m json.tool "$build/check_metrics.json" > /dev/null
+  --obs-dir="$build/check_obs" --profile
+"$build/tools/trace_summary" "$build/check_obs/timeline.jsonl"
+"$build/tools/trace_summary" "$build/check_obs/spans.json"
+python3 -m json.tool "$build/check_obs/spans.json" > /dev/null
+python3 -m json.tool "$build/check_obs/metrics.json" > /dev/null
 
 # The GF(256) ablation codec end to end under the sanitizers: once on
 # the host-dispatched multiply kernel, once pinned to scalar (results

@@ -2,20 +2,27 @@
 //
 // Runs one protocol over the two-disjoint-path topology with every knob
 // exposed as a flag, printing the paper's metrics (and optionally the
-// per-second goodput series or a CSV packet trace).
+// per-second goodput series). `--obs-dir=DIR` writes everything the run
+// produced: DIR/metrics.json (protocol metrics plus span.* and trace.*
+// profiles), DIR/timeline.jsonl (protocol and packet events) and
+// DIR/spans.json (Chrome/Perfetto span trace); with --seeds > 1 only
+// spans.json.
 //
 // Examples:
 //   fmtcp_sim --protocol=fmtcp --loss2=0.15 --duration=60
 //   fmtcp_sim --protocol=mptcp --loss2=0.10 --reinjection --sack
 //   fmtcp_sim --protocol=fmtcp --surge=50:0.35,200:0.01 --series
-//   fmtcp_sim --protocol=fmtcp --trace=/tmp/run.csv --duration=5
-//   fmtcp_sim --protocol=fmtcp --metrics-json=m.json --timeline=t.jsonl
+//   fmtcp_sim --protocol=fmtcp --obs-dir=/tmp/run --duration=5
 //   fmtcp_sim --protocol=fmtcp --log-level=debug --duration=2
 //   fmtcp_sim --protocol=fmtcp --profile --duration=10
-//   fmtcp_sim --protocol=fmtcp --trace-out=trace.json --duration=10
+#include <sys/stat.h>
+
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -27,7 +34,6 @@
 #include "fountain/coding_field.h"
 #include "harness/runner.h"
 #include "harness/sweep.h"
-#include "net/trace.h"
 #include "obs/observer.h"
 #include "obs/trace/chrome_trace.h"
 #include "obs/trace/span_metrics.h"
@@ -95,42 +101,43 @@ LogLevel parse_log_level(const std::string& name) {
   std::exit(2);
 }
 
-/// Opened before the run so a bad --metrics-json path fails fast
-/// instead of after the whole simulation.
-std::FILE* open_metrics_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
+/// Opens `dir/name` (creating `dir` if missing) before the run, so a bad
+/// --obs-dir fails fast with exit 1 naming the path instead of after the
+/// whole simulation.
+std::FILE* open_output(const std::string& dir, const char* name) {
+  const std::string path = dir + "/" + name;
+  std::FILE* file = nullptr;
+  if (mkdir(dir.c_str(), 0777) == 0 || errno == EEXIST) {
+    file = std::fopen(path.c_str(), "w");
+  }
   if (file == nullptr) {
-    std::perror(("metrics: cannot open '" + path + "' for writing").c_str());
+    std::fprintf(stderr, "--obs-dir: cannot write '%s': %s\n", path.c_str(),
+                 std::strerror(errno));
     std::exit(1);
   }
   return file;
 }
 
-void write_metrics_json(const obs::MetricsRegistry& metrics,
-                        std::FILE* file) {
-  const std::string json = metrics.to_json();
-  std::fputs(json.c_str(), file);
-  std::fputc('\n', file);
+void write_and_close(const std::string& text, std::FILE* file) {
+  FMTCP_CHECK(std::fwrite(text.data(), 1, text.size(), file) == text.size());
   FMTCP_CHECK(std::fclose(file) == 0);
 }
 
-/// Stops the span tracer and emits its outputs: the Chrome trace file
-/// (when requested), the aggregate table (--profile), and — when a
+/// Stops the span tracer and emits its outputs: spans.json (when
+/// --obs-dir is set), the aggregate table (--profile), and — when a
 /// metrics registry is being written — the span.* / trace.* metrics.
-obs::trace::TraceReport finish_tracing(const std::string& trace_out_path,
-                                       bool profile,
-                                       obs::MetricsRegistry* metrics) {
-  obs::trace::TraceReport report = obs::trace::stop();
+void finish_tracing(std::FILE* spans_file, const std::string& obs_dir,
+                    bool profile, obs::MetricsRegistry* metrics) {
+  const obs::trace::TraceReport report = obs::trace::stop();
   if (metrics != nullptr) obs::trace::merge_report(report, *metrics);
-  if (!trace_out_path.empty()) {
-    obs::trace::write_chrome_trace(report, trace_out_path);
-    std::printf("span trace:      %zu records -> %s\n",
-                report.records.size(), trace_out_path.c_str());
+  if (spans_file != nullptr) {
+    write_and_close(obs::trace::to_chrome_trace_json(report), spans_file);
+    std::printf("span trace:      %zu records -> %s/spans.json\n",
+                report.records.size(), obs_dir.c_str());
   }
   if (profile) {
     std::printf("\n%s", obs::trace::format_span_table(report).c_str());
   }
-  return report;
 }
 
 }  // namespace
@@ -199,19 +206,14 @@ int main(int argc, char** argv) {
       flags.get_int("buffer_kb", 128, "MPTCP receive buffer (KB)");
   options.mptcp_receive_buffer = static_cast<std::size_t>(buffer_kb) * 1024;
 
-  const int seed_count =
+  const std::int64_t seed_count =
       flags.get_int("seeds", 1, "replicate across N seeds (seed..seed+N-1)");
   const unsigned parallel_jobs = jobs_from_flags(flags);
   const bool print_series =
       flags.get_bool("series", false, "print per-second goodput");
-  const std::string trace_path =
-      flags.get_string("trace", "", "write CSV packet trace to file");
-  const std::string metrics_path = flags.get_string(
-      "metrics-json", "", "write run metrics as JSON to file");
-  const std::string timeline_path = flags.get_string(
-      "timeline", "", "write event timeline as JSONL to file");
-  const std::string trace_out_path = flags.get_string(
-      "trace-out", "", "write Chrome/Perfetto span trace to file");
+  const std::string obs_dir = flags.get_string(
+      "obs-dir", "",
+      "write metrics.json, timeline.jsonl and spans.json into DIR");
   const bool profile = flags.get_bool(
       "profile", false, "print the span-profile aggregate table");
   const std::string log_level_name = flags.get_string(
@@ -257,52 +259,51 @@ int main(int argc, char** argv) {
           "delta", "in (0,1)");
   require(buffer_kb > 0 && buffer_kb <= (std::int64_t{1} << 30), "buffer_kb",
           "in [1, 2^30]");
+  require(seed_count >= 1 && seed_count <= INT_MAX, "seeds",
+          "in [1, 2147483647]");
+  // The baselines' configs have no delayed-ACK or LIA field.
+  const bool baseline =
+      *protocol == Protocol::kHmtp || *protocol == Protocol::kFixedRate;
+  require(!baseline || !options.delayed_acks, "delayed_acks",
+          "off for hmtp and fixedrate");
+  require(!baseline || !options.fmtcp_use_lia, "lia",
+          "off for hmtp and fixedrate");
 
   set_log_level(parse_log_level(log_level_name));
 
-  std::unique_ptr<net::CsvTracer> tracer;
-  if (!trace_path.empty()) {
-    tracer = std::make_unique<net::CsvTracer>(trace_path);
-    scenario.tracer = tracer.get();
-  }
-
+  // Per-run outputs of several seeds would collide, so a multi-seed run
+  // writes only the span trace, which covers the whole process.
   std::unique_ptr<obs::Observer> observer;
   std::FILE* metrics_file = nullptr;
-  if (!metrics_path.empty() || !timeline_path.empty()) {
-    observer = std::make_unique<obs::Observer>();
-    if (!metrics_path.empty()) {
-      metrics_file = open_metrics_file(metrics_path);
+  std::FILE* spans_file = nullptr;
+  if (!obs_dir.empty()) {
+    spans_file = open_output(obs_dir, "spans.json");
+    if (seed_count == 1) {
+      metrics_file = open_output(obs_dir, "metrics.json");
+      observer = std::make_unique<obs::Observer>();
+      observer->timeline.open_jsonl(obs_dir + "/timeline.jsonl");
+      scenario.observer = observer.get();
     }
-    if (!timeline_path.empty()) {
-      observer->timeline.open_jsonl(timeline_path);
-    }
-    scenario.observer = observer.get();
   }
 
-  const bool tracing = profile || !trace_out_path.empty();
+  const bool tracing = profile || spans_file != nullptr;
   if (tracing) {
     obs::trace::TraceConfig trace_config;
     // The ring (per-event records) only feeds the Chrome exporter; the
     // aggregate table is exact regardless, so skip capture for --profile.
-    trace_config.capture_records = !trace_out_path.empty();
+    trace_config.capture_records = spans_file != nullptr;
     obs::trace::start(trace_config);
   }
 
   if (seed_count > 1) {
-    if (tracer || observer) {
-      std::fprintf(stderr,
-                   "--seeds is incompatible with --trace/--metrics-json/"
-                   "--timeline (per-run outputs would collide)\n");
-      return 2;
-    }
     std::vector<std::uint64_t> seeds;
-    for (int i = 0; i < seed_count; ++i) {
+    for (std::int64_t i = 0; i < seed_count; ++i) {
       seeds.push_back(scenario.seed + static_cast<std::uint64_t>(i));
     }
     const std::vector<RunResult> results =
         run_seeds(*protocol, scenario, options, seeds, parallel_jobs);
-    std::printf("protocol:  %s, %d seeds (%llu..%llu), jobs=%u\n",
-                protocol_name.c_str(), seed_count,
+    std::printf("protocol:  %s, %lld seeds (%llu..%llu), jobs=%u\n",
+                protocol_name.c_str(), static_cast<long long>(seed_count),
                 static_cast<unsigned long long>(seeds.front()),
                 static_cast<unsigned long long>(seeds.back()),
                 parallel_jobs);
@@ -319,7 +320,7 @@ int main(int argc, char** argv) {
         results, [](const RunResult& r) { return r.mean_delay_ms; });
     std::printf("mean\t%.4f +/- %.4f\t%.1f +/- %.1f ms\n", goodput.mean,
                 goodput.stddev, delay.mean, delay.stddev);
-    if (tracing) finish_tracing(trace_out_path, profile, nullptr);
+    if (tracing) finish_tracing(spans_file, obs_dir, profile, nullptr);
     return 0;
   }
 
@@ -356,28 +357,18 @@ int main(int argc, char** argv) {
   std::printf("event loop:      %llu events in %.2f s wall\n",
               static_cast<unsigned long long>(result.sim_events),
               result.wall_seconds);
-  if (tracer) {
-    std::printf("trace:           %llu rows -> %s\n",
-                static_cast<unsigned long long>(tracer->rows_written()),
-                trace_path.c_str());
-  }
   if (tracing) {
-    finish_tracing(trace_out_path, profile,
+    finish_tracing(spans_file, obs_dir, profile,
                    observer ? &observer->metrics : nullptr);
   }
   if (observer) {
-    if (metrics_file != nullptr) {
-      write_metrics_json(observer->metrics, metrics_file);
-      std::printf("metrics:         %zu metrics -> %s\n",
-                  observer->metrics.metric_count(), metrics_path.c_str());
-    }
-    if (!timeline_path.empty()) {
-      observer->timeline.flush();
-      std::printf("timeline:        %llu events -> %s\n",
-                  static_cast<unsigned long long>(
-                      observer->timeline.emitted()),
-                  timeline_path.c_str());
-    }
+    write_and_close(observer->metrics.to_json() + "\n", metrics_file);
+    observer->timeline.flush();
+    std::printf("metrics:         %zu metrics -> %s/metrics.json\n",
+                observer->metrics.metric_count(), obs_dir.c_str());
+    std::printf("timeline:        %llu events -> %s/timeline.jsonl\n",
+                static_cast<unsigned long long>(observer->timeline.emitted()),
+                obs_dir.c_str());
   }
   if (print_series) {
     std::printf("\nt(s)\tgoodput(MB/s)\n");

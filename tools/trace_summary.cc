@@ -1,50 +1,36 @@
-// trace_summary — aggregates simulator output files into reports.
+// trace_summary — aggregates the files `fmtcp_sim --obs-dir=DIR` writes.
 //
-// Three modes:
-//   - CSV packet traces written by `fmtcp_sim --trace=FILE` (or any
-//     CsvTracer) → per-link statistics.
-//   - JSONL event timelines written by `fmtcp_sim --timeline=FILE` →
-//     per-subflow and per-block summaries (pass --timeline).
-//   - Chrome span traces written by `fmtcp_sim --trace-out=FILE` →
-//     per-span-name aggregate table with exact percentiles (pass
-//     --spans).
+// The format is detected from the first line:
+//   - DIR/spans.json, a Chrome span trace (first line carries
+//     "traceEvents") → per-span-name aggregate table with exact
+//     percentiles.
+//   - DIR/timeline.jsonl, an event timeline (anything else) →
+//     per-subflow, per-block and per-link (packet event) summaries.
 //
-//   fmtcp_sim --protocol=fmtcp --trace=/tmp/run.csv --duration=30
-//   trace_summary /tmp/run.csv
-//   fmtcp_sim --protocol=fmtcp --timeline=/tmp/run.jsonl --duration=30
-//   trace_summary --timeline /tmp/run.jsonl
-//   fmtcp_sim --protocol=fmtcp --trace-out=/tmp/spans.json --duration=30
-//   trace_summary --spans /tmp/spans.json
+//   fmtcp_sim --protocol=fmtcp --obs-dir=/tmp/run --duration=30
+//   trace_summary /tmp/run/timeline.jsonl
+//   trace_summary /tmp/run/spans.json
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <iostream>
+#include <string>
 
-#include "net/trace_summary.h"
 #include "obs/timeline_summary.h"
 #include "obs/trace/chrome_trace.h"
 
 namespace {
 
-enum class Mode { kCsv, kTimeline, kSpans };
-
-int summarize_csv(std::istream& in) {
-  const fmtcp::net::TraceSummary summary = fmtcp::net::summarize_trace(in);
-  std::fputs(fmtcp::net::format_trace_summary(summary).c_str(), stdout);
-  std::printf(
-      "\n(link ids from the harness: 0/2 = path-1/2 forward, 1/3 = "
-      "reverse)\n");
-  return 0;
-}
-
-int summarize_timeline(std::istream& in) {
+void summarize_timeline(std::istream& in) {
   const fmtcp::obs::TimelineSummary summary =
       fmtcp::obs::summarize_timeline(in);
   std::fputs(fmtcp::obs::format_timeline_summary(summary).c_str(), stdout);
-  return 0;
+  if (!summary.per_link.empty()) {
+    std::printf(
+        "\n(link ids from the harness: 0/2 = path-1/2 forward, 1/3 = "
+        "reverse)\n");
+  }
 }
 
-int summarize_spans(std::istream& in) {
+void summarize_spans(std::istream& in) {
   const fmtcp::obs::trace::ChromeTraceSummary summary =
       fmtcp::obs::trace::summarize_chrome_trace(in);
   std::fputs(
@@ -56,54 +42,29 @@ int summarize_spans(std::istream& in) {
                 static_cast<unsigned long long>(summary.lines_skipped));
   }
   std::printf("\n");
-  return 0;
-}
-
-int dispatch(Mode mode, std::istream& in) {
-  switch (mode) {
-    case Mode::kTimeline:
-      return summarize_timeline(in);
-    case Mode::kSpans:
-      return summarize_spans(in);
-    case Mode::kCsv:
-      break;
-  }
-  return summarize_csv(in);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Mode mode = Mode::kCsv;
-  const char* path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--timeline") == 0) {
-      mode = Mode::kTimeline;
-    } else if (std::strcmp(argv[i], "--spans") == 0) {
-      mode = Mode::kSpans;
-    } else if (path == nullptr) {
-      path = argv[i];
-    } else {
-      path = nullptr;  // Too many positionals.
-      break;
-    }
-  }
-  if (path == nullptr) {
-    std::fprintf(stderr,
-                 "usage: %s [--timeline | --spans] "
-                 "<trace.csv | timeline.jsonl | spans.json>  "
-                 "(use - for stdin)\n",
+  if (argc != 2) {
+    std::fprintf(stderr, "usage: %s <timeline.jsonl | spans.json>\n",
                  argv[0]);
     return 2;
   }
-
-  if (std::strcmp(path, "-") == 0) {
-    return dispatch(mode, std::cin);
-  }
-  std::ifstream in(path);
+  std::ifstream in(argv[1]);
   if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path);
+    std::fprintf(stderr, "cannot open %s\n", argv[1]);
     return 1;
   }
-  return dispatch(mode, in);
+  std::string first_line;
+  std::getline(in, first_line);
+  in.clear();
+  in.seekg(0);
+  if (first_line.find("\"traceEvents\"") != std::string::npos) {
+    summarize_spans(in);
+  } else {
+    summarize_timeline(in);
+  }
+  return 0;
 }
