@@ -17,9 +17,7 @@
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/rng.h"
-#include "fountain/decoder.h"
-#include "fountain/gf256_rlc.h"
-#include "fountain/random_linear.h"
+#include "fountain/codec.h"
 #include "harness/printer.h"
 #include "harness/runner.h"
 #include "harness/table1.h"
@@ -44,55 +42,36 @@ struct SweepPoint {
   double coeff_cost_bytes = 0.0;      ///< Mean elimination coefficient bytes.
 };
 
-/// One decode-to-completion trial; returns (received, redundant,
-/// payload kernel bytes, coefficient cost bytes).
-template <bool kGf256>
-void run_trial(std::uint32_t k, double loss, std::uint64_t seed,
-               SweepPoint& acc) {
+/// One decode-to-completion trial; adds its received and redundant
+/// symbol counts and kernel costs to `acc`.
+void run_trial(CodingField field, std::uint32_t k, double loss,
+               std::uint64_t seed, SweepPoint& acc) {
   Rng channel(seed * 7919 + 13);
   const BlockData block = make_deterministic_block(seed, k, kSymbolBytes);
-  if constexpr (kGf256) {
-    Gf256RlcEncoder encoder(seed, block, Rng(seed * 31 + 7));
-    Gf256RlcDecoder decoder(k, kSymbolBytes, /*track_data=*/true);
-    while (!decoder.complete()) {
-      net::EncodedSymbol s = encoder.next_symbol();
-      if (channel.bernoulli(loss)) continue;
-      decoder.add_symbol(std::move(s));
-    }
-    FMTCP_CHECK(decoder.decode().bytes() == block.bytes());
-    acc.received += static_cast<double>(decoder.received_count());
-    acc.redundant += static_cast<double>(decoder.redundant_count());
-    acc.payload_kernel_bytes +=
-        static_cast<double>(decoder.payload_bytes_multiplied());
-    acc.coeff_cost_bytes +=
-        static_cast<double>(decoder.coeff_bytes_eliminated());
-  } else {
-    RandomLinearEncoder encoder(seed, block, Rng(seed * 31 + 7));
-    BlockDecoder decoder(k, kSymbolBytes, /*track_data=*/true);
-    while (!decoder.complete()) {
-      net::EncodedSymbol s = encoder.next_symbol();
-      if (channel.bernoulli(loss)) continue;
-      decoder.add_symbol(std::move(s));
-    }
-    FMTCP_CHECK(decoder.decode().bytes() == block.bytes());
-    acc.received += static_cast<double>(decoder.received_count());
-    acc.redundant += static_cast<double>(decoder.redundant_count());
-    acc.payload_kernel_bytes +=
-        static_cast<double>(decoder.payload_bytes_xored());
-    // GF(2) eliminates coefficients a 64-bit word at a time.
-    acc.coeff_cost_bytes +=
-        static_cast<double>(decoder.coeff_word_xors()) * 8.0;
+  SymbolEncoder encoder(field, seed, block, Rng(seed * 31 + 7));
+  SymbolDecoder decoder(field, k, kSymbolBytes);
+  while (!decoder.complete()) {
+    net::EncodedSymbol s = encoder.next_symbol();
+    if (channel.bernoulli(loss)) continue;
+    decoder.add_symbol(std::move(s));
   }
+  FMTCP_CHECK(decoder.decode().bytes() == block.bytes());
+  acc.received += static_cast<double>(decoder.received_count());
+  acc.redundant += static_cast<double>(decoder.redundant_count());
+  acc.payload_kernel_bytes += static_cast<double>(decoder.payload_bytes());
+  // GF(2) eliminates coefficients a 64-bit word at a time.
+  acc.coeff_cost_bytes += static_cast<double>(decoder.coeff_work()) *
+                          (field == CodingField::kGf2 ? 8.0 : 1.0);
 }
 
-template <bool kGf256>
-SweepPoint run_point(std::uint32_t k, int loss_pct, int trials) {
+SweepPoint run_point(CodingField field, std::uint32_t k, int loss_pct,
+                     int trials) {
   SweepPoint point;
-  point.name = std::string(kGf256 ? "gf256" : "gf2") + "_k" +
+  point.name = std::string(coding_field_name(field)) + "_k" +
                std::to_string(k) + "_p" + std::to_string(loss_pct);
   for (int t = 0; t < trials; ++t) {
-    run_trial<kGf256>(k, loss_pct / 100.0,
-                      static_cast<std::uint64_t>(t) + 1, point);
+    run_trial(field, k, loss_pct / 100.0, static_cast<std::uint64_t>(t) + 1,
+              point);
   }
   point.received /= trials;
   point.redundant /= trials;
@@ -128,8 +107,10 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> rows;
   for (std::uint32_t k : kKs) {
     for (int loss_pct : kLossPcts) {
-      const SweepPoint gf2 = run_point<false>(k, loss_pct, trials);
-      const SweepPoint gf256 = run_point<true>(k, loss_pct, trials);
+      const SweepPoint gf2 =
+          run_point(CodingField::kGf2, k, loss_pct, trials);
+      const SweepPoint gf256 =
+          run_point(CodingField::kGf256, k, loss_pct, trials);
       rows.push_back(
           {std::to_string(k), std::to_string(loss_pct),
            fmt(gf2.overhead_pct, 2), fmt(gf256.overhead_pct, 2),

@@ -43,10 +43,9 @@
 #include "common/check.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
-#include "fountain/decoder.h"
+#include "fountain/codec.h"
 #include "fountain/gf2_kernels.h"
 #include "fountain/gf256_kernels.h"
-#include "fountain/gf256_rlc.h"
 #include "fountain/random_linear.h"
 
 namespace {
@@ -62,8 +61,8 @@ using namespace fmtcp::benchjson;
 void BM_EncodeSymbol(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const auto symbol_bytes = static_cast<std::size_t>(state.range(1));
-  RandomLinearEncoder encoder(1, make_deterministic_block(1, k, symbol_bytes),
-                              Rng(7));
+  SymbolEncoder encoder(CodingField::kGf2, 1,
+                        make_deterministic_block(1, k, symbol_bytes), Rng(7));
   for (auto _ : state) {
     benchmark::DoNotOptimize(encoder.next_symbol());
   }
@@ -82,15 +81,16 @@ void BM_DecodeBlock(benchmark::State& state) {
   Rng rng(11);
   for (auto _ : state) {
     state.PauseTiming();
-    RandomLinearEncoder encoder(1, make_deterministic_block(1, k, symbol_bytes),
-                                rng.fork());
+    SymbolEncoder encoder(CodingField::kGf2, 1,
+                          make_deterministic_block(1, k, symbol_bytes),
+                          rng.fork());
     std::vector<net::EncodedSymbol> symbols;
     for (std::uint32_t i = 0; i < k + 8; ++i) {
       symbols.push_back(encoder.next_symbol());
     }
     state.ResumeTiming();
 
-    BlockDecoder decoder(k, symbol_bytes, /*track_data=*/true);
+    BlockDecoder decoder(k, symbol_bytes);
     for (const auto& symbol : symbols) {
       if (decoder.complete()) break;
       decoder.add_symbol(symbol);
@@ -109,28 +109,6 @@ BENCHMARK(BM_DecodeBlock)
     ->Args({256, 160})
     ->Args({512, 160});
 
-void BM_RankOnlyDecode(benchmark::State& state) {
-  const auto k = static_cast<std::uint32_t>(state.range(0));
-  Rng rng(13);
-  for (auto _ : state) {
-    state.PauseTiming();
-    RandomLinearEncoder encoder(1, k, 1, rng.fork());
-    std::vector<net::EncodedSymbol> symbols;
-    for (std::uint32_t i = 0; i < k + 8; ++i) {
-      symbols.push_back(encoder.next_symbol());
-    }
-    state.ResumeTiming();
-
-    BlockDecoder decoder(k, 1, /*track_data=*/false);
-    for (const auto& symbol : symbols) {
-      if (decoder.complete()) break;
-      decoder.add_symbol(symbol);
-    }
-    benchmark::DoNotOptimize(decoder.rank());
-  }
-}
-BENCHMARK(BM_RankOnlyDecode)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
 void BM_CoefficientsFromSeed(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t seed = 1;
@@ -145,8 +123,8 @@ BENCHMARK(BM_CoefficientsFromSeed)->Arg(64)->Arg(256);
 void BM_Gf256EncodeSymbol(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));
   const auto symbol_bytes = static_cast<std::size_t>(state.range(1));
-  Gf256RlcEncoder encoder(1, make_deterministic_block(1, k, symbol_bytes),
-                          Rng(7));
+  SymbolEncoder encoder(CodingField::kGf256, 1,
+                        make_deterministic_block(1, k, symbol_bytes), Rng(7));
   for (auto _ : state) {
     benchmark::DoNotOptimize(encoder.next_symbol());
   }
@@ -165,15 +143,16 @@ void BM_Gf256DecodeBlock(benchmark::State& state) {
   Rng rng(11);
   for (auto _ : state) {
     state.PauseTiming();
-    Gf256RlcEncoder encoder(1, make_deterministic_block(1, k, symbol_bytes),
-                            rng.fork());
+    SymbolEncoder encoder(CodingField::kGf256, 1,
+                          make_deterministic_block(1, k, symbol_bytes),
+                          rng.fork());
     std::vector<net::EncodedSymbol> symbols;
     for (std::uint32_t i = 0; i < k + 4; ++i) {
       symbols.push_back(encoder.next_symbol());
     }
     state.ResumeTiming();
 
-    Gf256RlcDecoder decoder(k, symbol_bytes, /*track_data=*/true);
+    Gf256RlcDecoder decoder(k, symbol_bytes);
     for (const auto& symbol : symbols) {
       if (decoder.complete()) break;
       decoder.add_symbol(symbol);
@@ -380,15 +359,16 @@ class EagerReferenceDecoder {
 /// Dense: non-systematic random linear symbols. Systematic-heavy: a
 /// systematic encoder's output thinned by 12% i.i.d. loss (so most
 /// symbols are plain source symbols plus a few coded repairs).
-std::vector<net::EncodedSymbol> make_stream(std::uint32_t k,
+std::vector<net::EncodedSymbol> make_stream(CodingField field,
+                                            std::uint32_t k,
                                             std::size_t symbol_bytes,
                                             bool dense, std::uint64_t seed) {
   Rng loss_rng(seed * 977 + 11);
-  RandomLinearEncoder encoder(seed, make_deterministic_block(seed, k,
-                                                             symbol_bytes),
-                              Rng(seed * 31 + 7), /*systematic=*/!dense);
+  SymbolEncoder encoder(field, seed,
+                        make_deterministic_block(seed, k, symbol_bytes),
+                        Rng(seed * 31 + 7), /*systematic=*/!dense);
   std::vector<net::EncodedSymbol> stream;
-  BlockDecoder probe(k, symbol_bytes, /*track_data=*/false);
+  SymbolDecoder probe(field, k, symbol_bytes);
   while (!probe.complete()) {
     net::EncodedSymbol s = encoder.next_symbol();
     if (!dense && loss_rng.bernoulli(0.12)) continue;  // Lost in transit.
@@ -399,42 +379,12 @@ std::vector<net::EncodedSymbol> make_stream(std::uint32_t k,
 }
 
 std::vector<std::vector<net::EncodedSymbol>> make_streams(
-    std::uint32_t k, std::size_t symbol_bytes, bool dense) {
+    CodingField field, std::uint32_t k, std::size_t symbol_bytes,
+    bool dense) {
   std::vector<std::vector<net::EncodedSymbol>> streams;
   for (int s = 0; s < kStreamsPerCase; ++s) {
-    streams.push_back(make_stream(k, symbol_bytes, dense,
+    streams.push_back(make_stream(field, k, symbol_bytes, dense,
                                   static_cast<std::uint64_t>(s) + 1));
-  }
-  return streams;
-}
-
-/// GF(256) counterpart of make_stream: same shapes (dense coded vs
-/// systematic thinned by 12% loss), byte-coefficient symbols.
-std::vector<net::EncodedSymbol> make_gf256_stream(std::uint32_t k,
-                                                  std::size_t symbol_bytes,
-                                                  bool dense,
-                                                  std::uint64_t seed) {
-  Rng loss_rng(seed * 977 + 11);
-  Gf256RlcEncoder encoder(seed,
-                          make_deterministic_block(seed, k, symbol_bytes),
-                          Rng(seed * 31 + 7), /*systematic=*/!dense);
-  std::vector<net::EncodedSymbol> stream;
-  Gf256RlcDecoder probe(k, symbol_bytes, /*track_data=*/false);
-  while (!probe.complete()) {
-    net::EncodedSymbol s = encoder.next_symbol();
-    if (!dense && loss_rng.bernoulli(0.12)) continue;  // Lost in transit.
-    probe.add_symbol(s);
-    stream.push_back(std::move(s));
-  }
-  return stream;
-}
-
-std::vector<std::vector<net::EncodedSymbol>> make_gf256_streams(
-    std::uint32_t k, std::size_t symbol_bytes, bool dense) {
-  std::vector<std::vector<net::EncodedSymbol>> streams;
-  for (int s = 0; s < kStreamsPerCase; ++s) {
-    streams.push_back(make_gf256_stream(k, symbol_bytes, dense,
-                                        static_cast<std::uint64_t>(s) + 1));
   }
   return streams;
 }
@@ -493,7 +443,7 @@ CaseResult run_case(const std::string& name, std::uint32_t k,
 /// and decode() shape for run_case.
 struct LazyAdapter {
   LazyAdapter(std::uint32_t k, std::size_t bytes)
-      : decoder(k, bytes, /*track_data=*/true, &bench_pool()) {}
+      : decoder(k, bytes, &bench_pool()) {}
   void add_symbol(const net::EncodedSymbol& s) {
     if (!decoder.complete()) decoder.add_symbol(s);
   }
@@ -519,7 +469,7 @@ struct EagerAdapter {
 
 struct Gf256Adapter {
   Gf256Adapter(std::uint32_t k, std::size_t bytes)
-      : decoder(k, bytes, /*track_data=*/true, &bench_pool()) {}
+      : decoder(k, bytes, &bench_pool()) {}
   void add_symbol(const net::EncodedSymbol& s) {
     if (!decoder.complete()) decoder.add_symbol(s);
   }
@@ -583,7 +533,8 @@ std::vector<CaseResult> run_harness() {
       const bool want_eager = case_enabled("eager_" + suffix);
       const bool want_lazy = case_enabled("lazy_" + suffix);
       if (!want_eager && !want_lazy) continue;
-      const auto streams = make_streams(k, g_symbol_bytes, dense);
+      const auto streams =
+          make_streams(CodingField::kGf2, k, g_symbol_bytes, dense);
       // Alternate decoders across repetitions (see best_of).
       CaseResult eager;
       CaseResult lazy;
@@ -619,7 +570,8 @@ std::vector<CaseResult> run_harness() {
   for (std::uint32_t k : kLargeKs) {
     const std::string name = "lazy_dense_k" + std::to_string(k);
     if (!case_enabled(name)) continue;
-    const auto streams = make_streams(k, g_symbol_bytes, /*dense=*/true);
+    const auto streams =
+        make_streams(CodingField::kGf2, k, g_symbol_bytes, /*dense=*/true);
     const CaseResult r = best_of(5, [&] {
       return run_case<LazyAdapter>(name, k, g_symbol_bytes, streams);
     });
@@ -631,7 +583,8 @@ std::vector<CaseResult> run_harness() {
   // MTU-sized symbols: payload kernels dominate at 1400 bytes/symbol.
   if (case_enabled("lazy_dense_k128_sb1400")) {
     const std::uint32_t k = 128;
-    const auto streams = make_streams(k, kMtuSymbolBytes, /*dense=*/true);
+    const auto streams =
+        make_streams(CodingField::kGf2, k, kMtuSymbolBytes, /*dense=*/true);
     const CaseResult r = best_of(5, [&] {
       return run_case<LazyAdapter>("lazy_dense_k128_sb1400", k,
                                    kMtuSymbolBytes, streams);
@@ -649,7 +602,8 @@ std::vector<CaseResult> run_harness() {
                                (dense ? "dense" : "systematic") + "_k" +
                                std::to_string(k);
       if (!case_enabled(name)) continue;
-      const auto streams = make_gf256_streams(k, g_symbol_bytes, dense);
+      const auto streams =
+          make_streams(CodingField::kGf256, k, g_symbol_bytes, dense);
       const CaseResult r = best_of(5, [&] {
         return run_case<Gf256Adapter>(name, k, g_symbol_bytes, streams);
       });
@@ -694,30 +648,6 @@ std::vector<CaseResult> run_harness() {
               return a.name < b.name;
             });
   return results;
-}
-
-/// Rank-only mode must touch zero payload bytes; returns the counter so
-/// the JSON can record it.
-std::uint64_t rank_only_payload_bytes() {
-  const std::uint32_t k = 64;
-  const auto stream = make_stream(k, g_symbol_bytes, /*dense=*/true, 42);
-  BlockDecoder decoder(k, g_symbol_bytes, /*track_data=*/false);
-  for (const auto& symbol : stream) decoder.add_symbol(symbol);
-  FMTCP_CHECK(decoder.complete());
-  FMTCP_CHECK(decoder.payload_bytes_xored() == 0);
-  return decoder.payload_bytes_xored();
-}
-
-/// Same invariant for the GF(256) decoder's rank-only mode.
-std::uint64_t gf256_rank_only_payload_bytes() {
-  const std::uint32_t k = 64;
-  const auto stream =
-      make_gf256_stream(k, g_symbol_bytes, /*dense=*/true, 42);
-  Gf256RlcDecoder decoder(k, g_symbol_bytes, /*track_data=*/false);
-  for (const auto& symbol : stream) decoder.add_symbol(symbol);
-  FMTCP_CHECK(decoder.complete());
-  FMTCP_CHECK(decoder.payload_bytes_multiplied() == 0);
-  return decoder.payload_bytes_multiplied();
 }
 
 void write_json(const std::string& path, std::vector<CaseResult> results,
@@ -771,14 +701,9 @@ void write_json(const std::string& path, std::vector<CaseResult> results,
                "  \"kernel\": \"%s\",\n"
                "  \"gf256_kernel\": \"%s\",\n"
                "  \"cpu_features\": \"%s\",\n"
-               "  \"rank_only_payload_bytes_xored\": %llu,\n"
-               "  \"gf256_rank_only_payload_bytes_multiplied\": %llu,\n"
                "  \"cases\": {\n",
                g_symbol_bytes, gf2_kernel().name, gf256_kernel().name,
-               cpu_features_string().c_str(),
-               static_cast<unsigned long long>(rank_only_payload_bytes()),
-               static_cast<unsigned long long>(
-                   gf256_rank_only_payload_bytes()));
+               cpu_features_string().c_str());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CaseResult& r = results[i];
     std::fprintf(file,

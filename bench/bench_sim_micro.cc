@@ -29,7 +29,6 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "core/connection.h"
 #include "harness/scenario.h"
 #include "json_baseline.h"
 #include "net/topology.h"
@@ -100,34 +99,31 @@ void BM_TimerRearm(benchmark::State& state) {
 BENCHMARK(BM_TimerRearm);
 
 void BM_FmtcpSimulatedSecond(benchmark::State& state) {
-  // Full-stack cost of one simulated second of FMTCP over two paths
-  // (payload mode: real GF(2) encoding + decoding included).
-  const bool payload = state.range(0) != 0;
+  // Full-stack cost of one simulated second of the default FMTCP cell
+  // (ProtocolOptions::defaults(), real GF(2) coding end to end) over the
+  // two Table-I paths, path 2 at 10% loss.
   sim::Simulator sim(1);
-  net::PathConfig path1;
-  path1.one_way_delay = from_ms(100);
-  path1.bandwidth_Bps = 0.625e6;
-  net::PathConfig path2 = path1;
-  path2.loss_rate = 0.1;
-  net::Topology topology(sim, {path1, path2});
-
-  core::FmtcpConnectionConfig config;
-  config.params.block_symbols = 128;
-  config.params.symbol_bytes = 160;
-  config.params.carry_payload = payload;
-  config.subflow.mss_payload = 7 * config.params.symbol_wire_bytes();
-  core::FmtcpConnection connection(sim, topology, config);
-  connection.start();
+  harness::Scenario scenario;
+  scenario.path2 = {100.0, 0.10};
+  net::Topology topology(sim, {scenario.path_config(scenario.path1),
+                               scenario.path_config(scenario.path2)});
+  const harness::ProtocolOptions options =
+      harness::ProtocolOptions::defaults();
+  const std::unique_ptr<tcp::Connection> connection =
+      harness::make_connection(harness::Protocol::kFmtcp, sim, options,
+                               nullptr);
+  connection->wire(topology);
+  connection->start();
 
   for (auto _ : state) {
     sim.run_until(sim.now() + kSecond);
   }
-  state.SetLabel(payload ? "payload" : "rank-only");
   state.counters["blocks/s"] = benchmark::Counter(
-      static_cast<double>(connection.receiver().blocks_delivered()),
+      static_cast<double>(connection->goodput().total_bytes() /
+                          options.fmtcp.block_bytes()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FmtcpSimulatedSecond)->Arg(1)->Arg(0);
+BENCHMARK(BM_FmtcpSimulatedSecond);
 
 // --------------------------------------------------------------------------
 // Scheduler replay harness (--json / --guard modes)

@@ -5,10 +5,8 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "fountain/decoder.h"
+#include "fountain/codec.h"
 #include "fountain/gf256_kernels.h"
-#include "fountain/gf256_rlc.h"
-#include "fountain/random_linear.h"
 
 using namespace fmtcp;
 using namespace fmtcp::fountain;
@@ -27,8 +25,8 @@ int main() {
 
   // --- Dense random linear fountain (the FMTCP code, paper Eq. 1). ---
   {
-    RandomLinearEncoder encoder(7, original, rng.fork());
-    BlockDecoder decoder(k, symbol_bytes, /*track_data=*/true);
+    SymbolEncoder encoder(CodingField::kGf2, 7, original, rng.fork());
+    BlockDecoder decoder(k, symbol_bytes);
     Rng channel = rng.fork();
     std::uint64_t sent = 0;
     std::uint64_t erased = 0;
@@ -58,8 +56,8 @@ int main() {
 
   // --- Dense GF(256) RLC (CTCP-style ablation, gf256_rlc.h). ---
   {
-    Gf256RlcEncoder encoder(7, original, rng.fork());
-    Gf256RlcDecoder decoder(k, symbol_bytes, /*track_data=*/true);
+    SymbolEncoder encoder(CodingField::kGf256, 7, original, rng.fork());
+    Gf256RlcDecoder decoder(k, symbol_bytes);
     Rng channel = rng.fork();
     std::uint64_t sent = 0;
     std::uint64_t erased = 0;

@@ -9,35 +9,27 @@ namespace fmtcp::core {
 
 namespace {
 
+/// Encodes block `id`: the application's bytes when a source is attached,
+/// otherwise deterministic content the receiver regenerates to verify.
 fountain::SymbolEncoder make_encoder(net::BlockId id,
                                      const FmtcpParams& params, Rng rng,
-                                     BlockSource* source) {
-  if (source != nullptr) {
-    FMTCP_CHECK(params.carry_payload);
-    return fountain::SymbolEncoder(
-        params.coding_field, id,
-        source->build_block(id, params.block_symbols, params.symbol_bytes),
-        rng, params.systematic);
-  }
-  if (params.carry_payload) {
-    return fountain::SymbolEncoder(
-        params.coding_field, id,
-        fountain::make_deterministic_block(id, params.block_symbols,
-                                           params.symbol_bytes),
-        rng, params.systematic);
-  }
-  return fountain::SymbolEncoder(params.coding_field, id,
-                                 params.block_symbols, params.symbol_bytes,
-                                 rng, params.systematic);
+                                     BlockSource* source, BufferPool* pool) {
+  fountain::BlockData block =
+      source != nullptr
+          ? source->build_block(id, params.block_symbols, params.symbol_bytes)
+          : fountain::make_deterministic_block(id, params.block_symbols,
+                                               params.symbol_bytes);
+  return fountain::SymbolEncoder(params.coding_field, id, std::move(block),
+                                 rng, params.systematic, pool);
 }
 
 }  // namespace
 
 SenderBlock::SenderBlock(net::BlockId block_id, const FmtcpParams& params,
-                         Rng rng, BlockSource* source)
+                         Rng rng, BlockSource* source, BufferPool* pool)
     : id(block_id),
       k_hat(params.block_symbols),
-      encoder(make_encoder(id, params, rng, source)) {}
+      encoder(make_encoder(id, params, rng, source, pool)) {}
 
 std::uint32_t SenderBlock::total_in_flight() const {
   std::uint32_t total = 0;
@@ -89,10 +81,10 @@ SenderBlock& BlockManager::ensure_block(net::BlockId id) {
   FMTCP_CHECK(id >= next_id_);
   while (next_id_ <= id) {
     FMTCP_CHECK(can_open());
-    blocks_.emplace_back(next_id_, params_, encoder_rng_.fork(), source_);
     // Symbol payload buffers cycle through the simulator-local pool:
     // receiver-side drops feed the next encodes.
-    blocks_.back().encoder.set_buffer_pool(&simulator_.buffer_pool());
+    blocks_.emplace_back(next_id_, params_, encoder_rng_.fork(), source_,
+                         &simulator_.buffer_pool());
     ++next_id_;
   }
   return blocks_.back();

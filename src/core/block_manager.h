@@ -36,10 +36,10 @@ struct SenderBlock {
   SimTime first_symbol_sent = kNever;
   fountain::SymbolEncoder encoder;  ///< Field per params.coding_field.
 
-  /// `source` may be null (deterministic content, or none in rank-only
-  /// mode).
+  /// `source` may be null (deterministic content). `pool`, when set,
+  /// supplies the encoder's symbol payload buffers.
   SenderBlock(net::BlockId id, const FmtcpParams& params, Rng rng,
-              BlockSource* source);
+              BlockSource* source, BufferPool* pool);
 
   std::uint32_t total_in_flight() const;
 };

@@ -1,10 +1,10 @@
 // Application-data interfaces for FMTCP.
 //
 // The sender pulls coding blocks from a BlockSource; the receiver hands
-// decoded, in-order blocks to a BlockSink. The default implementations
-// generate deterministic pseudo-random content and verify it byte-exactly
-// (every simulation doubles as an integrity check); the stream adapters
-// in core/stream.h carry real application bytes instead.
+// decoded, in-order blocks to a BlockSink. Without them the sender
+// encodes deterministic pseudo-random content and the receiver verifies
+// it byte-exactly (every simulation doubles as an integrity check); the
+// stream adapters in core/stream.h carry real application bytes instead.
 #pragma once
 
 #include <cstdint>
@@ -39,17 +39,6 @@ class BlockSink {
   /// Block `id` decoded and all predecessors already delivered.
   virtual void on_block(net::BlockId id,
                         const fountain::BlockData& block) = 0;
-};
-
-/// Default source: deterministic pseudo-random content derived from the
-/// block id (regenerable at the receiver for verification).
-class DeterministicBlockSource final : public BlockSource {
- public:
-  bool has_block(net::BlockId) override { return true; }
-  fountain::BlockData build_block(net::BlockId id, std::uint32_t symbols,
-                                  std::size_t symbol_bytes) override {
-    return fountain::make_deterministic_block(id, symbols, symbol_bytes);
-  }
 };
 
 }  // namespace fmtcp::core

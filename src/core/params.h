@@ -36,10 +36,6 @@ struct FmtcpParams {
   /// the receive-buffer constraint on pending blocks.
   std::size_t max_pending_blocks = 128;
 
-  /// Carry and verify real payload bytes end to end. Rank-only mode
-  /// (false) skips byte XORs without changing protocol behaviour.
-  bool carry_payload = true;
-
   /// Total blocks the application will send; 0 = unbounded stream.
   std::uint64_t total_blocks = 0;
 

@@ -23,7 +23,6 @@ FmtcpReceiver::FmtcpReceiver(sim::Simulator& simulator,
       sink_(sink),
       obs_(observer) {
   params_.validate();
-  FMTCP_CHECK(sink_ == nullptr || params_.carry_payload);
   if (obs_ != nullptr) {
     obs_symbols_ = obs_->metrics.counter("fmtcp.symbols_received");
     obs_redundant_ = obs_->metrics.counter("fmtcp.redundant_symbols");
@@ -76,8 +75,7 @@ void FmtcpReceiver::on_segment(std::uint32_t subflow, net::Packet& p) {
     }
     auto [it, inserted] = decoders_.try_emplace(
         symbol.block, params_.coding_field, symbol.block_symbols,
-        params_.symbol_bytes, params_.carry_payload,
-        &simulator_.buffer_pool());
+        params_.symbol_bytes, &simulator_.buffer_pool());
     fountain::SymbolDecoder& decoder = it->second;
     if (!decoder.add_symbol(std::move(symbol))) {
       ++redundant_symbols_;  // Linearly dependent; dropped (§III-B).
@@ -93,8 +91,8 @@ void FmtcpReceiver::on_segment(std::uint32_t subflow, net::Packet& p) {
     if (decoder.complete()) {
       if (sink_ != nullptr) {
         decoded_data_.emplace(symbol.block, decoder.decode(decode_scratch_));
-      } else if (params_.carry_payload) {
-        // No application sink: verify against the deterministic source.
+      } else {
+        // No application sink: verify against the deterministic content.
         const fountain::BlockData& decoded = decoder.decode(decode_scratch_);
         const fountain::BlockData expected =
             fountain::make_deterministic_block(

@@ -22,9 +22,10 @@ class FmtcpReceiver final : public tcp::DataSink {
  public:
   /// `goodput` may be null (no measurement). Delivered application bytes
   /// are counted when a block leaves the receive buffer in order.
-  /// `sink` may be null; when set (requires params.carry_payload) it
-  /// receives every decoded block in id order — the application-data
-  /// path (see core/stream.h).
+  /// `sink` may be null; when set it receives every decoded block in id
+  /// order — the application-data path (see core/stream.h). Without a
+  /// sink each decoded block is verified against its deterministic
+  /// content.
   /// `observer` may be null; when set, per-block rank progress,
   /// redundant-symbol detections, and decode completions land on its
   /// timeline and fmtcp.* metrics, and every decoder's coding costs
@@ -57,8 +58,8 @@ class FmtcpReceiver final : public tcp::DataSink {
   /// blocks awaiting in-order delivery).
   std::size_t max_buffered_bytes() const { return max_buffered_; }
 
-  /// False if any decoded block failed payload verification (only
-  /// meaningful with params.carry_payload).
+  /// False if any decoded block failed payload verification (always
+  /// true with a sink, which receives the bytes instead).
   bool payload_verified() const { return payload_ok_; }
 
  private:

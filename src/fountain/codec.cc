@@ -3,6 +3,9 @@
 #include <cstring>
 #include <utility>
 
+#include "fountain/random_linear.h"
+#include "obs/trace/span.h"
+
 namespace fmtcp::fountain {
 
 const char* coding_field_name(CodingField field) {
@@ -15,64 +18,49 @@ std::optional<CodingField> parse_coding_field(const char* name) {
   return std::nullopt;
 }
 
-namespace {
-
-template <typename Gf2, typename Gf256, typename... Args>
-std::variant<Gf2, Gf256> make_codec(CodingField field, Args&&... args) {
-  if (field == CodingField::kGf256) {
-    return std::variant<Gf2, Gf256>(std::in_place_type<Gf256>,
-                                    std::forward<Args>(args)...);
-  }
-  return std::variant<Gf2, Gf256>(std::in_place_type<Gf2>,
-                                  std::forward<Args>(args)...);
-}
-
-}  // namespace
-
 SymbolEncoder::SymbolEncoder(CodingField field, std::uint64_t block_id,
-                             BlockData block, Rng rng, bool systematic)
-    : impl_(make_codec<RandomLinearEncoder, Gf256RlcEncoder>(
-          field, block_id, std::move(block), rng, systematic)) {}
-
-SymbolEncoder::SymbolEncoder(CodingField field, std::uint64_t block_id,
-                             std::uint32_t symbols, std::size_t symbol_bytes,
-                             Rng rng, bool systematic)
-    : impl_(make_codec<RandomLinearEncoder, Gf256RlcEncoder>(
-          field, block_id, symbols, symbol_bytes, rng, systematic)) {}
+                             BlockData block, Rng rng, bool systematic,
+                             BufferPool* pool)
+    : field_(field),
+      block_id_(block_id),
+      block_(std::move(block)),
+      rng_(rng),
+      systematic_(systematic),
+      pool_(pool) {}
 
 net::EncodedSymbol SymbolEncoder::next_symbol() {
-  return std::visit([](auto& e) { return e.next_symbol(); }, impl_);
-}
-
-void SymbolEncoder::set_buffer_pool(BufferPool* pool) {
-  std::visit([pool](auto& e) { e.set_buffer_pool(pool); }, impl_);
-}
-
-bool SymbolEncoder::systematic() const {
-  return std::visit([](const auto& e) { return e.systematic(); }, impl_);
-}
-
-std::uint64_t SymbolEncoder::block_id() const {
-  return std::visit([](const auto& e) { return e.block_id(); }, impl_);
-}
-
-std::uint32_t SymbolEncoder::symbols() const {
-  return std::visit([](const auto& e) { return e.symbols(); }, impl_);
-}
-
-std::size_t SymbolEncoder::symbol_bytes() const {
-  return std::visit([](const auto& e) { return e.symbol_bytes(); }, impl_);
-}
-
-std::uint64_t SymbolEncoder::generated_count() const {
-  return std::visit([](const auto& e) { return e.generated_count(); }, impl_);
+  FMTCP_COUNT("codec.encode_symbol", 1);
+  const std::uint32_t k = block_.symbols();
+  net::EncodedSymbol s;
+  s.block = block_id_;
+  s.block_symbols = k;
+  if (pool_ != nullptr) s.data = pool_->acquire(block_.symbol_bytes());
+  if (systematic_ && generated_ < k) {
+    s.systematic_index = static_cast<std::uint32_t>(generated_);
+    const std::uint8_t* src = block_.symbol(s.systematic_index);
+    s.data.assign(src, src + block_.symbol_bytes());
+  } else {
+    s.coeff_seed = rng_.next_u64();
+    if (field_ == CodingField::kGf2) {
+      coefficients_from_seed_into(s.coeff_seed, k, gf2_coeffs_);
+      encode_with_coefficients_into(block_, gf2_coeffs_, s.data);
+    } else {
+      gf256_coefficients_from_seed_into(s.coeff_seed, k, gf256_coeffs_);
+      gf256_encode_with_coefficients_into(block_, gf256_coeffs_.data(),
+                                          s.data);
+    }
+  }
+  ++generated_;
+  return s;
 }
 
 SymbolDecoder::SymbolDecoder(CodingField field, std::uint32_t symbols,
-                             std::size_t symbol_bytes, bool track_data,
-                             BufferPool* pool)
-    : impl_(make_codec<BlockDecoder, Gf256RlcDecoder>(
-          field, symbols, symbol_bytes, track_data, pool)) {}
+                             std::size_t symbol_bytes, BufferPool* pool)
+    : impl_(field == CodingField::kGf256
+                ? decltype(impl_)(std::in_place_type<Gf256RlcDecoder>,
+                                  symbols, symbol_bytes, pool)
+                : decltype(impl_)(std::in_place_type<BlockDecoder>, symbols,
+                                  symbol_bytes, pool)) {}
 
 bool SymbolDecoder::add_symbol(net::EncodedSymbol&& symbol) {
   return std::visit(

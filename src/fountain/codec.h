@@ -1,69 +1,69 @@
-// Field-polymorphic codec wrappers.
+// The coding plane's protocol-facing codec: one encoder and one decoder
+// per block, in either coefficient field.
 //
-// SymbolEncoder / SymbolDecoder hold either the GF(2) random linear
-// codec (random_linear.h + decoder.h) or the GF(256) one (gf256_rlc.h)
-// behind exactly the interface the protocol layer uses, so the sender's
-// block manager and the receiver pick the coefficient field from
-// FmtcpParams::coding_field without any other change — the wire format
-// (seed-carrying EncodedSymbol) is shared, and nothing default-on
-// changes (kGf2 reproduces the GF(2) plane byte for byte).
+// SymbolEncoder encodes in both fields itself: next_symbol() branches on
+// the field once, into the GF(2) (random_linear.h) or GF(256)
+// (gf256_rlc.h) free functions. SymbolDecoder holds the field's decoder
+// (decoder.h or gf256_rlc.h) behind exactly the interface the receiver
+// uses. The sender's block manager and the receiver pick the field from
+// FmtcpParams::coding_field without any other change: the wire format
+// (seed-carrying EncodedSymbol) is shared, and kGf2 is the paper's code.
 //
-// Dispatch is a std::variant visit per call, far off the hot loops (the
-// per-byte work happens inside the held codec's kernels).
+// Decoder dispatch is a std::variant visit per call, far off the hot
+// loops (the per-byte work happens inside the held decoder's kernels).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <variant>
+#include <vector>
 
 #include "common/buffer_pool.h"
 #include "common/rng.h"
 #include "fountain/block.h"
 #include "fountain/coding_field.h"
 #include "fountain/decoder.h"
+#include "fountain/gf2.h"
 #include "fountain/gf256_rlc.h"
-#include "fountain/random_linear.h"
 #include "net/packet.h"
 
 namespace fmtcp::fountain {
 
-/// Per-block encoder in the chosen field. API mirrors the codecs it
-/// wraps (payload / rank-only modes, systematic prefix, buffer pool).
+/// Per-block encoder in the chosen field (paper Eq. 1). Each symbol is a
+/// random linear combination of the block's source symbols and carries
+/// the 64-bit seed that regenerates its coefficients. Optionally
+/// *systematic* (like RFC 5053/6330 Raptor codes): the first k̂ symbols
+/// are the source symbols themselves, so a lossless channel decodes for
+/// free; repair symbols afterwards are random linear combinations.
 class SymbolEncoder {
  public:
-  /// Payload mode: encodes real bytes from `block` (copied).
+  /// `pool`, when set, supplies the payload buffers of emitted symbols
+  /// and must outlive the encoder; the symbol stream is the same either
+  /// way.
   SymbolEncoder(CodingField field, std::uint64_t block_id, BlockData block,
-                Rng rng, bool systematic = false);
+                Rng rng, bool systematic = false, BufferPool* pool = nullptr);
 
-  /// Rank-only mode: symbols have empty `data`.
-  SymbolEncoder(CodingField field, std::uint64_t block_id,
-                std::uint32_t symbols, std::size_t symbol_bytes, Rng rng,
-                bool systematic = false);
-
+  /// Generates the next encoded symbol: a source symbol while the
+  /// systematic prefix lasts, then fresh random coefficients.
   net::EncodedSymbol next_symbol();
-  void set_buffer_pool(BufferPool* pool);
-
-  CodingField field() const {
-    return std::holds_alternative<RandomLinearEncoder>(impl_)
-               ? CodingField::kGf2
-               : CodingField::kGf256;
-  }
-  bool systematic() const;
-  std::uint64_t block_id() const;
-  std::uint32_t symbols() const;
-  std::size_t symbol_bytes() const;
-  std::uint64_t generated_count() const;
 
  private:
-  std::variant<RandomLinearEncoder, Gf256RlcEncoder> impl_;
+  CodingField field_;
+  std::uint64_t block_id_;
+  BlockData block_;
+  Rng rng_;
+  bool systematic_;
+  BufferPool* pool_;
+  std::uint64_t generated_ = 0;
+  BitVector gf2_coeffs_;                    ///< Reused per GF(2) symbol.
+  std::vector<std::uint8_t> gf256_coeffs_;  ///< Reused per GF(256) symbol.
 };
 
 /// Per-block decoder in the chosen field.
 class SymbolDecoder {
  public:
   SymbolDecoder(CodingField field, std::uint32_t symbols,
-                std::size_t symbol_bytes, bool track_data,
-                BufferPool* pool = nullptr);
+                std::size_t symbol_bytes, BufferPool* pool = nullptr);
 
   /// Hot-path form: takes ownership of the symbol's payload bytes.
   bool add_symbol(net::EncodedSymbol&& symbol);
@@ -78,7 +78,7 @@ class SymbolDecoder {
   std::uint64_t redundant_count() const;
   std::size_t buffered_bytes() const;
 
-  /// Recovers the original block (complete() and track_data required).
+  /// Recovers the original block (complete() required).
   /// `scratch` amortises GF(2) decode tables across blocks; the GF(256)
   /// decoder has no cross-block tables and ignores it.
   const BlockData& decode(DecodeScratch& scratch);

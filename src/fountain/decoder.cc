@@ -14,12 +14,6 @@ namespace fmtcp::fountain {
 
 namespace {
 
-/// Rows with more than this many coefficient bits are "dense" for
-/// inactivation classification. Deterministic in the symbol stream only.
-std::size_t inactivation_weight_threshold(std::uint32_t k) {
-  return std::max<std::size_t>(12, k / 32);
-}
-
 /// M4R payload-table strip budget: tables stay around L2-sized so the
 /// build/apply loop streams from cache.
 constexpr std::size_t kStripTableBytes = 192 * 1024;
@@ -42,37 +36,33 @@ inline void xw3(std::uint64_t* dst, const std::uint64_t* a,
 }  // namespace
 
 BlockDecoder::BlockDecoder(std::uint32_t symbols, std::size_t symbol_bytes,
-                           bool track_data, BufferPool* pool)
+                           BufferPool* pool)
     : symbols_(symbols),
       symbol_bytes_(symbol_bytes),
-      track_data_(track_data),
       pool_(pool),
       coeff_words_((symbols + 63) / 64),
-      stride_words_(track_data ? 2 * ((symbols + 63) / 64)
-                               : (symbols + 63) / 64),
+      stride_words_(2 * coeff_words_),
       rows_(static_cast<std::size_t>(symbols) * stride_words_, 0),
       present_((symbols + 63) / 64, 0),
       scratch_row_(stride_words_, 0) {
   FMTCP_CHECK(symbols > 0);
   FMTCP_CHECK(symbol_bytes > 0);
-  if (track_data_) stored_.reserve(symbols);
+  stored_.reserve(symbols);
+}
+
+AlignedBytes BlockDecoder::copy_payload(const AlignedBytes& data) {
+  // Copy through the pool when one is attached: steady-state feeding
+  // then recycles the buffers decode() releases instead of paying a
+  // fresh allocation per symbol.
+  if (pool_ == nullptr) return data;
+  AlignedBytes copy = pool_->acquire(data.size());
+  std::memcpy(copy.data(), data.data(), data.size());
+  return copy;
 }
 
 bool BlockDecoder::add_symbol(const BitVector& coeffs,
                               const AlignedBytes& data) {
-  AlignedBytes copy;
-  if (track_data_) {
-    // Copy through the pool when one is attached: steady-state feeding
-    // then recycles the buffers decode() releases instead of paying a
-    // fresh allocation per symbol.
-    if (pool_ != nullptr) {
-      copy = pool_->acquire(data.size());
-      std::memcpy(copy.data(), data.data(), data.size());
-    } else {
-      copy = data;
-    }
-  }
-  return add_symbol(coeffs, std::move(copy));
+  return add_symbol(coeffs, copy_payload(data));
 }
 
 bool BlockDecoder::add_symbol(const BitVector& coeffs, AlignedBytes&& data) {
@@ -86,16 +76,14 @@ bool BlockDecoder::add_symbol(const BitVector& coeffs, AlignedBytes&& data) {
   }
 
   // Assemble the incoming fused record in scratch (no allocation): the
-  // expanded coefficients, then — in track mode — a composition half
-  // that starts as the singleton {rank_}, the stored_ slot this payload
-  // will occupy if it proves innovative.
+  // expanded coefficients, then a composition half that starts as the
+  // singleton {rank_}, the stored_ slot this payload will occupy if it
+  // proves innovative.
+  FMTCP_CHECK(data.size() == symbol_bytes_);
   std::memcpy(scratch_row_.data(), coeffs.word_data(),
               coeff_words_ * sizeof(std::uint64_t));
-  if (track_data_) {
-    FMTCP_CHECK(data.size() == symbol_bytes_);
-    std::fill_n(scratch_row_.data() + coeff_words_, coeff_words_, 0ULL);
-    scratch_row_[coeff_words_ + (rank_ >> 6)] = 1ULL << (rank_ & 63);
-  }
+  std::fill_n(scratch_row_.data() + coeff_words_, coeff_words_, 0ULL);
+  scratch_row_[coeff_words_ + (rank_ >> 6)] = 1ULL << (rank_ & 63);
 
   // Reduce against existing pivot rows until the leading bit is free —
   // coefficients and composition only; payload bytes are untouched.
@@ -108,34 +96,22 @@ bool BlockDecoder::add_symbol(const BitVector& coeffs, AlignedBytes&& data) {
     // scan walks set bits of cw & present directly, so every iteration
     // eliminates and the loop branch stays predictable.
     std::uint64_t cw = scratch_row_[0];
-    std::uint64_t pv = track_data_ ? scratch_row_[1] : 0;
+    std::uint64_t pv = scratch_row_[1];
     std::uint64_t m = cw & present_[0];
     while (m != 0) {
       const auto p = static_cast<std::size_t>(std::countr_zero(m));
       const std::uint64_t* prow = row(p);
       cw ^= prow[0];
-      ++words;
-      if (track_data_) {
-        pv ^= prow[1];
-        ++words;
-      }
+      pv ^= prow[1];
+      words += 2;
       m = cw & present_[0];
     }
     pivot = cw != 0 ? static_cast<std::size_t>(std::countr_zero(cw))
                     : symbols_;
     scratch_row_[0] = cw;
-    if (track_data_) scratch_row_[1] = pv;
-  } else if (!track_data_) {
-    // Rank-only: the record is the coefficient half alone; the fused
-    // kernel reduce_row runs the whole eliminate-and-rescan loop in one
-    // dispatched call.
-    std::size_t steps = 0;
-    pivot = gf2_kernel().reduce_row(scratch_row_.data(), rows_.data(),
-                                    present_.data(), symbols_, coeff_words_,
-                                    stride_words_, &steps);
-    words = steps * stride_words_;
+    scratch_row_[1] = pv;
   } else {
-    pivot = reduce_track(words);
+    pivot = reduce_record(words);
   }
   coeff_word_xors_ += words;
 
@@ -145,11 +121,7 @@ bool BlockDecoder::add_symbol(const BitVector& coeffs, AlignedBytes&& data) {
     return false;
   }
 
-  if (track_data_) {
-    stored_.push_back(std::move(data));
-  } else if (pool_ != nullptr) {
-    pool_->release(std::move(data));
-  }
+  stored_.push_back(std::move(data));
   std::memcpy(row(pivot), scratch_row_.data(),
               stride_words_ * sizeof(std::uint64_t));
   present_[pivot >> 6] |= 1ULL << (pivot & 63);
@@ -171,16 +143,7 @@ void BlockDecoder::expand_coefficients(const net::EncodedSymbol& symbol) {
 bool BlockDecoder::add_symbol(const net::EncodedSymbol& symbol) {
   FMTCP_CHECK(symbol.block_symbols == symbols_);
   expand_coefficients(symbol);
-  AlignedBytes data;
-  if (track_data_) {
-    if (pool_ != nullptr) {
-      data = pool_->acquire(symbol.data.size());
-      std::memcpy(data.data(), symbol.data.data(), symbol.data.size());
-    } else {
-      data = symbol.data;
-    }
-  }
-  return add_symbol(scratch_coeffs_, std::move(data));
+  return add_symbol(scratch_coeffs_, copy_payload(symbol.data));
 }
 
 bool BlockDecoder::add_symbol(net::EncodedSymbol&& symbol) {
@@ -201,80 +164,42 @@ const BlockData& BlockDecoder::decode() {
 
 const BlockData& BlockDecoder::decode(DecodeScratch& scratch) {
   FMTCP_CHECK(complete());
-  FMTCP_CHECK(track_data_);
   if (decoded_.has_value()) return *decoded_;
   FMTCP_SPAN_ARG("codec.decode", symbols_);
 
   const std::size_t k = symbols_;
   std::uint64_t words = 0;
-  std::uint64_t bytes = 0;
   BlockData out(symbols_, symbol_bytes_);
-
-  // Strategy choice. Every strategy yields the same bytes — the decoded
-  // block is the unique GF(2) solution of the received system — so this
-  // is purely a cost decision, and it depends only on the symbol stream
-  // (coefficient weights), never on the machine or kernel.
-  bool use_inactivation = false;
-  if (strategy_ != DecodeStrategy::kPlainElimination &&
-      (strategy_ == DecodeStrategy::kInactivation || k > 64)) {
-    const std::size_t threshold = inactivation_weight_threshold(symbols_);
-    scratch.dense_.assign(k, 0);
-    scratch.core_index_.assign(k, UINT32_MAX);
-    scratch.core_pivots_.clear();
-    for (std::size_t q = 0; q < k; ++q) {
-      const std::uint64_t* cw = row(q);
-      std::size_t weight = 0;
-      for (std::size_t w = 0; w < coeff_words_; ++w) {
-        weight += static_cast<std::size_t>(std::popcount(cw[w]));
+  if (symbols_ <= 64) {
+    // One-word fast path (registers; see add_symbol). When row q is
+    // processed every row p > q is already the singleton {p}, so
+    // eliminating bit p XORs row p's composition only.
+    for (std::size_t q = symbols_; q-- > 0;) {
+      FMTCP_DCHECK(has_pivot(q));
+      std::uint64_t* r = row(q);
+      std::uint64_t rest = r[0] ^ (1ULL << q);
+      if (rest == 0) continue;
+      std::uint64_t pv = r[1];
+      while (rest != 0) {
+        const auto p = static_cast<std::size_t>(std::countr_zero(rest));
+        rest &= rest - 1;
+        pv ^= row(p)[1];
+        ++words;
       }
-      if (weight > threshold) {
-        scratch.dense_[q] = 1;
-        scratch.core_index_[q] =
-            static_cast<std::uint32_t>(scratch.core_pivots_.size());
-        scratch.core_pivots_.push_back(static_cast<std::uint32_t>(q));
-      }
+      r[1] = pv;
+      r[0] = 1ULL << q;
     }
-    // Worth inactivating only while the dense core stays small; an
-    // all-dense random-coded stream gains nothing structural (the
-    // blocked solve + SIMD carry that case).
-    use_inactivation = strategy_ == DecodeStrategy::kInactivation ||
-                       4 * scratch.core_pivots_.size() <= k;
-  }
-
-  if (use_inactivation) {
-    bytes = decode_inactivation(out, scratch, words);
   } else {
-    if (symbols_ <= 64) {
-      // One-word fast path (registers; see add_symbol). When row q is
-      // processed every row p > q is already the singleton {p}, so
-      // eliminating bit p XORs row p's composition only.
-      for (std::size_t q = symbols_; q-- > 0;) {
-        FMTCP_DCHECK(has_pivot(q));
-        std::uint64_t* r = row(q);
-        std::uint64_t rest = r[0] ^ (1ULL << q);
-        if (rest == 0) continue;
-        std::uint64_t pv = r[1];
-        while (rest != 0) {
-          const auto p = static_cast<std::size_t>(std::countr_zero(rest));
-          rest &= rest - 1;
-          pv ^= row(p)[1];
-          ++words;
-        }
-        r[1] = pv;
-        r[0] = 1ULL << q;
-      }
-    } else {
-      words += solve_symbolic_blocked(scratch);
-    }
-    scratch.comp_ptrs_.resize(k);
-    scratch.dst_ptrs_.resize(k);
-    for (std::size_t q = 0; q < k; ++q) {
-      scratch.comp_ptrs_[q] = row_comp(q);
-      scratch.dst_ptrs_[q] = out.symbol(static_cast<std::uint32_t>(q));
-    }
-    bytes = compose_rows(scratch.comp_ptrs_.data(), scratch.dst_ptrs_.data(),
-                         k, scratch);
+    words += solve_symbolic_blocked(scratch);
   }
+  scratch.comp_ptrs_.resize(k);
+  scratch.dst_ptrs_.resize(k);
+  for (std::size_t q = 0; q < k; ++q) {
+    scratch.comp_ptrs_[q] = row_comp(q);
+    scratch.dst_ptrs_[q] = out.symbol(static_cast<std::uint32_t>(q));
+  }
+  const std::uint64_t bytes = compose_rows(
+      scratch.comp_ptrs_.data(), scratch.dst_ptrs_.data(), k, scratch);
 
   coeff_word_xors_ += words;
   rows_composed_ += symbols_;
@@ -288,20 +213,20 @@ const BlockData& BlockDecoder::decode(DecodeScratch& scratch) {
   return *decoded_;
 }
 
-std::size_t BlockDecoder::reduce_track(std::uint64_t& words) {
+std::size_t BlockDecoder::reduce_record(std::uint64_t& words) {
   // Narrow records (k̂ ≤ 256) reduce fastest fully register-resident;
   // wider ones leave the off-chain half to the dispatched kernel's
   // fused reduce, whose vector width covers the record in a few ops.
   switch (coeff_words_) {
-    case 2: return reduce_track_impl<2>(words);
-    case 3: return reduce_track_impl<3>(words);
-    case 4: return reduce_track_impl<0>(words);
-    default: return reduce_track_impl<0>(words);
+    case 2: return reduce_record_impl<2>(words);
+    case 3: return reduce_record_impl<3>(words);
+    case 4: return reduce_record_impl<0>(words);
+    default: return reduce_record_impl<0>(words);
   }
 }
 
 template <std::size_t WC>
-std::size_t BlockDecoder::reduce_track_impl(std::uint64_t& words) {
+std::size_t BlockDecoder::reduce_record_impl(std::uint64_t& words) {
   if constexpr (WC == 0) {
     // Uncommon width: the dispatched kernel's fused reduce runs the
     // whole eliminate-and-rescan loop in one call.
@@ -321,7 +246,7 @@ std::size_t BlockDecoder::reduce_track_impl(std::uint64_t& words) {
     // pivot p only touches bits ≥ p, so the recomputed mask advances
     // monotonically and the row ends fully reduced against all pivots;
     // its lowest surviving bit is the new (free) pivot position.
-    // Track-mode records have compile-time stride 2·WC, so the row
+    // Records have compile-time stride 2·WC, so the row
     // address is a shift, not an imul, on the serial address chain; the
     // unrolled word loop makes every rec index a constant, letting the
     // scan word live in a register across the whole inner loop.
@@ -530,168 +455,6 @@ std::uint64_t BlockDecoder::solve_symbolic_blocked_impl(
     bi -= 2;
   }
   return words;
-}
-
-std::uint64_t BlockDecoder::decode_inactivation(BlockData& out,
-                                                DecodeScratch& scratch,
-                                                std::uint64_t& words) {
-  // Inactivation decoding (RFC 6330 / Raptor style), symbolically. The
-  // pivot system is unit-upper-triangular; rows classified dense are
-  // "inactivated": their unknowns X form the core. Descending
-  // substitution expresses every row as
-  //     x_q = comp_q · stored  ^  icomp_q · X            (sparse q)
-  //     X[core(q)] ^ icomp_q · X = comp_q · stored       (dense q)
-  // touching W+dW words per set bit — cheap while rows are sparse. The
-  // d×d core system is then solved densely (Gauss-Jordan on fused
-  // [matrix | rhs] records), the d core payloads are materialised once,
-  // and every output row is one sparse gather over stored payloads plus
-  // core payloads. Dense elimination cost is confined to d ≤ k/4 rows.
-  const Gf2KernelOps& ops = gf2_kernel();
-  const std::size_t k = symbols_;
-  const std::size_t W = coeff_words_;
-  const std::size_t d = scratch.core_pivots_.size();
-  const std::size_t dW = (d + 63) / 64;  // 0 when d == 0.
-  std::uint64_t bytes = 0;
-
-  // Phase A: descending symbolic substitution. Set bits of row q are all
-  // > q; sparse ones are already final (processed later in the loop),
-  // dense ones contribute a single core-column bit.
-  if (d > 0) scratch.icomp_.assign(k * dW, 0);
-  std::uint64_t* icomp = scratch.icomp_.data();
-  for (std::size_t q = k; q-- > 0;) {
-    FMTCP_DCHECK(has_pivot(q));
-    const std::uint64_t* rq = row(q);
-    std::uint64_t* cq = row_comp(q);
-    std::uint64_t* iq = icomp + q * dW;
-    for (std::size_t w = q >> 6; w < W; ++w) {
-      std::uint64_t bits = rq[w];
-      if (w == (q >> 6)) bits &= ~(1ULL << (q & 63));
-      while (bits != 0) {
-        const std::size_t p =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        if (scratch.dense_[p] != 0) {
-          const std::uint32_t c = scratch.core_index_[p];
-          iq[c >> 6] ^= 1ULL << (c & 63);
-        } else {
-          xw(cq, row_comp(p), W);
-          words += W;
-          if (dW > 0) {
-            xw(iq, icomp + p * dW, dW);
-            words += dW;
-          }
-        }
-      }
-    }
-  }
-
-  const std::size_t sbpad = round_up_64(symbol_bytes_);
-  if (d > 0) {
-    // Phase B: dense core solve. Record r = [m_r | rhs_r], where for core
-    // row r (pivot q): m_r = e_r ^ icomp_q over core columns, rhs_r =
-    // comp_q over stored slots. Gauss-Jordan to the identity leaves
-    // record c's rhs as the stored-slot combination equal to X[c]. The
-    // system is invertible because the full received system has rank k.
-    const std::size_t cs = dW + W;
-    scratch.core_.assign(d * cs, 0);
-    std::uint64_t* core = scratch.core_.data();
-    for (std::size_t r = 0; r < d; ++r) {
-      const std::size_t q = scratch.core_pivots_[r];
-      std::uint64_t* rec = core + r * cs;
-      std::memcpy(rec, icomp + q * dW, dW * sizeof(std::uint64_t));
-      rec[r >> 6] ^= 1ULL << (r & 63);
-      std::memcpy(rec + dW, row_comp(q), W * sizeof(std::uint64_t));
-    }
-    for (std::size_t c = 0; c < d; ++c) {
-      std::size_t rr = c;
-      while (rr < d &&
-             ((core[rr * cs + (c >> 6)] >> (c & 63)) & 1ULL) == 0) {
-        ++rr;
-      }
-      FMTCP_CHECK(rr < d);
-      if (rr != c) {
-        std::swap_ranges(core + rr * cs, core + (rr + 1) * cs,
-                         core + c * cs);
-      }
-      for (std::size_t r2 = 0; r2 < d; ++r2) {
-        if (r2 == c) continue;
-        if (((core[r2 * cs + (c >> 6)] >> (c & 63)) & 1ULL) == 0) continue;
-        xw(core + r2 * cs, core + c * cs, cs);
-        words += cs;
-      }
-    }
-
-    // Phase C: materialise the d core payloads (cost-picked compose over
-    // stored slots, like any other row set).
-    scratch.core_payloads_.assign(d * sbpad, 0);
-    scratch.comp_ptrs_.resize(d);
-    scratch.dst_ptrs_.resize(d);
-    for (std::size_t c = 0; c < d; ++c) {
-      scratch.comp_ptrs_[c] = core + c * cs + dW;
-      scratch.dst_ptrs_[c] = scratch.core_payloads_.data() + c * sbpad;
-    }
-    bytes += compose_rows(scratch.comp_ptrs_.data(), scratch.dst_ptrs_.data(),
-                          d, scratch);
-  }
-
-  // Phase D: output rows. Dense rows are the core payloads verbatim;
-  // sparse rows gather their stored slots plus referenced core payloads
-  // (out starts zero-filled).
-  if (d == 0) {
-    scratch.comp_ptrs_.resize(k);
-    scratch.dst_ptrs_.resize(k);
-    for (std::size_t q = 0; q < k; ++q) {
-      scratch.comp_ptrs_[q] = row_comp(q);
-      scratch.dst_ptrs_[q] = out.symbol(static_cast<std::uint32_t>(q));
-    }
-    return bytes + compose_rows(scratch.comp_ptrs_.data(),
-                                scratch.dst_ptrs_.data(), k, scratch);
-  }
-  const std::uint8_t* srcs[kXorBatch];
-  for (std::size_t q = 0; q < k; ++q) {
-    std::uint8_t* dst = out.symbol(static_cast<std::uint32_t>(q));
-    if (scratch.dense_[q] != 0) {
-      std::memcpy(dst,
-                  scratch.core_payloads_.data() +
-                      scratch.core_index_[q] * sbpad,
-                  symbol_bytes_);
-      continue;
-    }
-    std::size_t n = 0;
-    const auto flush = [&](const std::uint8_t* src) {
-      srcs[n++] = src;
-      if (n == kXorBatch) {
-        ops.xor_accumulate(dst, srcs, n, symbol_bytes_);
-        bytes += n * symbol_bytes_;
-        n = 0;
-      }
-    };
-    const std::uint64_t* cq = row_comp(q);
-    for (std::size_t w = 0; w < W; ++w) {
-      std::uint64_t bits = cq[w];
-      while (bits != 0) {
-        const std::size_t j =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        flush(stored_[j].data());
-      }
-    }
-    const std::uint64_t* iq = icomp + q * dW;
-    for (std::size_t w = 0; w < dW; ++w) {
-      std::uint64_t bits = iq[w];
-      while (bits != 0) {
-        const std::size_t c =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        flush(scratch.core_payloads_.data() + c * sbpad);
-      }
-    }
-    if (n > 0) {
-      ops.xor_accumulate(dst, srcs, n, symbol_bytes_);
-      bytes += n * symbol_bytes_;
-    }
-  }
-  return bytes;
 }
 
 std::uint64_t BlockDecoder::compose_rows(const std::uint64_t* const* comps,

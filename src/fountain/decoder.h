@@ -13,8 +13,8 @@
 // byte XORs are deferred to decode(), where back-substitution runs on the
 // (coefficients, composition) pair and every source symbol is then
 // materialised as one sparse combination of raw payloads, applied once.
-// Rank-only mode (track_data = false) therefore touches zero payload
-// bytes by construction.
+// The online phase is therefore rank-only: add_symbol() touches zero
+// payload bytes by construction.
 //
 // Storage is a flat fused row arena: pivot row p is one record of
 // `stride_words` 64-bit words at rows_[p * stride_words] — coefficient
@@ -22,17 +22,11 @@
 // kernel XOR (gf2_kernels.h reduce_row) eliminates both halves per step
 // with no per-row allocation and no per-step function-call overhead.
 //
-// decode() picks among three equivalent strategies (the decoded block is
-// the unique GF(2) solution, so all produce byte-identical output; the
-// choice depends only on the symbol stream, never on the machine):
-//   - k̂ ≤ 64 register path: whole rows in two registers.
-//   - plain elimination: blocked (8-column) method-of-four-Russians
-//     triangular solve on the symbolic rows, then payload composition
-//     via direct sparse XOR or adaptive 4/8-bit group tables.
-//   - inactivation (RFC 6330 style): sparse pivot rows substitute
-//     symbolically; only the dense "inactivated" core — d rows, d ≤ k̂/4
-//     — pays dense elimination, so low-degree streams with a few dense
-//     repair rows stop being ~k̂² payload work.
+// decode() back-substitutes on the symbolic rows — whole rows in two
+// registers for k̂ ≤ 64, a blocked (8-column) method-of-four-Russians
+// triangular solve above — then composes the payloads by direct sparse
+// XOR or adaptive 4/8-bit group tables. Every choice depends only on k̂
+// and the symbol stream, never on the machine.
 #pragma once
 
 #include <cstddef>
@@ -48,11 +42,10 @@
 
 namespace fmtcp::fountain {
 
-/// Reusable decode() workspace: solve tables, M4R payload tables,
-/// inactivation core state. One scratch serves any number of decoders
-/// (receiver-wide, or across a bench's blocks), so the table
-/// allocations amortise across blocks instead of being paid per decode.
-/// Not thread-safe; use one per thread.
+/// Reusable decode() workspace: solve tables and M4R payload tables.
+/// One scratch serves any number of decoders (receiver-wide, or across a
+/// bench's blocks), so the table allocations amortise across blocks
+/// instead of being paid per decode. Not thread-safe; use one per thread.
 class DecodeScratch {
  public:
   DecodeScratch() = default;
@@ -62,29 +55,18 @@ class DecodeScratch {
  private:
   friend class BlockDecoder;
   AlignedWords solve_tables_;   ///< Blocked-solve subset tables (≤256 rows).
-  AlignedWords icomp_;          ///< Per-row inactive-core combinations.
-  AlignedWords core_;           ///< Dense core records (matrix | rhs).
   AlignedBytes payload_tables_; ///< M4R payload strip tables.
-  AlignedBytes core_payloads_;  ///< Materialised inactivated symbols.
-  std::vector<std::uint8_t> dense_;        ///< Per-pivot density flags.
-  std::vector<std::uint32_t> core_index_;  ///< Pivot -> core column.
-  std::vector<std::uint32_t> core_pivots_; ///< Core column -> pivot.
   std::vector<const std::uint64_t*> comp_ptrs_;
   std::vector<std::uint8_t*> dst_ptrs_;
 };
 
 class BlockDecoder {
  public:
-  /// Strategy override for equivalence tests; kAuto picks by stream
-  /// shape (deterministically — never by machine).
-  enum class DecodeStrategy { kAuto, kPlainElimination, kInactivation };
-
-  /// `track_data` false = rank-only mode (no payload bytes stored).
   /// `pool`, when set, receives the payload buffers of dropped redundant
   /// symbols and of stored symbols once the block has been decoded, so
   /// the encoder side of the same simulator can reuse them.
   BlockDecoder(std::uint32_t symbols, std::size_t symbol_bytes,
-               bool track_data, BufferPool* pool = nullptr);
+               BufferPool* pool = nullptr);
 
   /// Inserts a symbol given its expanded coefficients and payload.
   /// Returns true if the symbol was innovative (rank increased).
@@ -92,8 +74,7 @@ class BlockDecoder {
   /// without copying.
   bool add_symbol(const BitVector& coeffs, AlignedBytes&& data);
 
-  /// Copying convenience overload (tests and observers). The payload is
-  /// only copied in track_data mode.
+  /// Copying convenience overload (tests and observers).
   bool add_symbol(const BitVector& coeffs, const AlignedBytes& data);
 
   /// Inserts a wire symbol, taking ownership of its payload bytes
@@ -101,8 +82,7 @@ class BlockDecoder {
   /// receiver moves each symbol straight off the packet.
   bool add_symbol(net::EncodedSymbol&& symbol);
 
-  /// Copying convenience overload (tests and observers). The payload is
-  /// only copied in track_data mode.
+  /// Copying convenience overload (tests and observers).
   bool add_symbol(const net::EncodedSymbol& symbol);
 
   /// Current number of linearly independent symbols, k̄_b.
@@ -120,11 +100,10 @@ class BlockDecoder {
   /// Symbols dropped as linearly dependent.
   std::uint64_t redundant_count() const { return redundant_; }
 
-  /// Receive-buffer bytes this block currently pins (stored symbol rows;
-  /// rank-only mode counts the bytes the rows would occupy).
+  /// Receive-buffer bytes this block currently pins (stored symbol rows).
   std::size_t buffered_bytes() const;
 
-  /// Recovers the original block. Requires complete() and track_data.
+  /// Recovers the original block. Requires complete().
   /// Idempotent; the first call performs back-substitution and the
   /// deferred payload XORs (using a private scratch).
   const BlockData& decode();
@@ -132,9 +111,6 @@ class BlockDecoder {
   /// As decode(), but working in caller-owned scratch so table storage
   /// amortises across blocks (the receiver passes one per connection).
   const BlockData& decode(DecodeScratch& scratch);
-
-  /// Overrides the decode() strategy choice (tests).
-  void set_decode_strategy(DecodeStrategy s) { strategy_ = s; }
 
   // --- Cost introspection (the receiver exports these as fountain.*) ---
   /// Payload bytes run through the XOR kernels (decode() only).
@@ -147,6 +123,10 @@ class BlockDecoder {
  private:
   /// Expands a wire symbol's coefficients into scratch_coeffs_.
   void expand_coefficients(const net::EncodedSymbol& symbol);
+
+  /// Copies a payload for the copying overloads, through the pool when
+  /// one is attached.
+  AlignedBytes copy_payload(const AlignedBytes& data);
 
   std::uint64_t* row(std::size_t p) { return rows_.data() + p * stride_words_; }
   const std::uint64_t* row(std::size_t p) const {
@@ -168,21 +148,15 @@ class BlockDecoder {
   template <std::size_t WC>
   std::uint64_t solve_symbolic_blocked_impl(DecodeScratch& scratch);
 
-  /// Reduces the incoming track-mode record in scratch_row_ against the
-  /// pivot rows. Constant-W instantiations keep the whole fused record
-  /// in registers across the scan (no store-to-load stalls on the
-  /// serial eliminate-and-rescan chain); the runtime-width fallback
-  /// uses the dispatched kernel's fused reduce_row. Returns the free
-  /// pivot (or k̂ if redundant) and adds to `words`.
-  std::size_t reduce_track(std::uint64_t& words);
+  /// Reduces the incoming record in scratch_row_ against the pivot
+  /// rows. Constant-W instantiations keep the whole fused record in
+  /// registers across the scan (no store-to-load stalls on the serial
+  /// eliminate-and-rescan chain); the runtime-width fallback uses the
+  /// dispatched kernel's fused reduce_row. Returns the free pivot (or k̂
+  /// if redundant) and adds to `words`.
+  std::size_t reduce_record(std::uint64_t& words);
   template <std::size_t WC>
-  std::size_t reduce_track_impl(std::uint64_t& words);
-
-  /// Inactivation: substitutes sparse rows symbolically, solves the
-  /// d-row dense core, materialises core payloads, then every output
-  /// row. Returns payload bytes XORed; adds symbolic words to `words`.
-  std::uint64_t decode_inactivation(BlockData& out, DecodeScratch& scratch,
-                                    std::uint64_t& words);
+  std::size_t reduce_record_impl(std::uint64_t& words);
 
   /// Materialises `nrows` payload rows: dsts[i] ^= XOR of stored_ slots
   /// selected by comps[i] (k̂-bit vectors). Picks direct sparse gather or
@@ -201,9 +175,7 @@ class BlockDecoder {
 
   std::uint32_t symbols_;
   std::size_t symbol_bytes_;
-  bool track_data_;
   BufferPool* pool_ = nullptr;
-  DecodeStrategy strategy_ = DecodeStrategy::kAuto;
   std::uint32_t rank_ = 0;
   std::uint64_t received_ = 0;
   std::uint64_t redundant_ = 0;
@@ -211,14 +183,14 @@ class BlockDecoder {
   std::uint64_t coeff_word_xors_ = 0;
   std::uint64_t rows_composed_ = 0;
   std::size_t coeff_words_;   ///< ceil(k̂ / 64).
-  std::size_t stride_words_;  ///< Record stride: 2·coeff_words_ (track) or 1·.
+  std::size_t stride_words_;  ///< Record stride: 2·coeff_words_.
   /// Flat fused row arena: record p = [coeffs | comp] at p·stride_words_.
   /// Pivot row p has its lowest coefficient bit at p; absent rows zero.
   AlignedWords rows_;
   std::vector<std::uint64_t> present_;  ///< Pivot-present bitmap.
   AlignedWords scratch_row_;            ///< Incoming record being reduced.
   /// Raw payloads of stored (innovative) symbols, in arrival order; slot
-  /// j is what comp bit j refers to. Empty in rank-only mode.
+  /// j is what comp bit j refers to.
   std::vector<AlignedBytes> stored_;
   BitVector scratch_coeffs_;  ///< Reused across add_symbol calls.
   std::optional<BlockData> decoded_;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "fountain/gf2.h"
 #include "fountain/gf256.h"
 #include "fountain/gf256_kernels.h"
@@ -52,68 +53,18 @@ void gf256_encode_with_coefficients_into(const BlockData& block,
   if (n > 0) ops.mul_accumulate(out.data(), srcs, cs, n, out.size());
 }
 
-Gf256RlcEncoder::Gf256RlcEncoder(std::uint64_t block_id, BlockData block,
-                                 Rng rng, bool systematic)
-    : block_id_(block_id),
-      symbols_(block.symbols()),
-      symbol_bytes_(block.symbol_bytes()),
-      data_(std::move(block)),
-      rng_(rng),
-      systematic_(systematic) {}
-
-Gf256RlcEncoder::Gf256RlcEncoder(std::uint64_t block_id, std::uint32_t symbols,
-                                 std::size_t symbol_bytes, Rng rng,
-                                 bool systematic)
-    : block_id_(block_id),
-      symbols_(symbols),
-      symbol_bytes_(symbol_bytes),
-      rng_(rng),
-      systematic_(systematic) {
-  FMTCP_CHECK(symbols > 0);
-  FMTCP_CHECK(symbol_bytes > 0);
-}
-
-net::EncodedSymbol Gf256RlcEncoder::next_symbol() {
-  FMTCP_COUNT("codec.encode_symbol", 1);
-  net::EncodedSymbol s;
-  s.block = block_id_;
-  s.block_symbols = symbols_;
-  if (systematic_ && generated_ < symbols_) {
-    s.systematic_index = static_cast<std::uint32_t>(generated_);
-    if (data_.has_value()) {
-      if (pool_ != nullptr) s.data = pool_->acquire(symbol_bytes_);
-      const std::uint8_t* src = data_->symbol(s.systematic_index);
-      s.data.assign(src, src + symbol_bytes_);
-    }
-  } else {
-    s.coeff_seed = rng_.next_u64();
-    if (data_.has_value()) {
-      gf256_coefficients_from_seed_into(s.coeff_seed, symbols_,
-                                        coeff_scratch_);
-      if (pool_ != nullptr) s.data = pool_->acquire(symbol_bytes_);
-      gf256_encode_with_coefficients_into(*data_, coeff_scratch_.data(),
-                                          s.data);
-    }
-  }
-  ++generated_;
-  return s;
-}
-
 Gf256RlcDecoder::Gf256RlcDecoder(std::uint32_t symbols,
-                                 std::size_t symbol_bytes, bool track_data,
-                                 BufferPool* pool)
+                                 std::size_t symbol_bytes, BufferPool* pool)
     : symbols_(symbols),
       symbol_bytes_(symbol_bytes),
-      track_data_(track_data),
       pool_(pool),
-      stride_(track_data ? 2 * static_cast<std::size_t>(symbols)
-                         : static_cast<std::size_t>(symbols)),
+      stride_(2 * static_cast<std::size_t>(symbols)),
       rows_(symbols * stride_, 0),
       present_((symbols + 63) / 64, 0),
       scratch_record_(stride_, 0) {
   FMTCP_CHECK(symbols > 0);
   FMTCP_CHECK(symbol_bytes > 0);
-  if (track_data_) stored_.reserve(symbols);
+  stored_.reserve(symbols);
 }
 
 bool Gf256RlcDecoder::add_symbol(const std::uint8_t* coeffs,
@@ -127,14 +78,13 @@ bool Gf256RlcDecoder::add_symbol(const std::uint8_t* coeffs,
     return false;
   }
   const std::uint32_t k = symbols_;
+  FMTCP_CHECK(data.size() == symbol_bytes_);
   std::uint8_t* rec = scratch_record_.data();
   std::memcpy(rec, coeffs, k);
-  if (track_data_) {
-    // Composition starts as "this symbol alone"; elimination folds pivot
-    // rows' compositions in through the same fused suffix ops.
-    std::memset(rec + k, 0, k);
-    rec[k + stored_.size()] = 1;
-  }
+  // Composition starts as "this symbol alone"; elimination folds pivot
+  // rows' compositions in through the same fused suffix ops.
+  std::memset(rec + k, 0, k);
+  rec[k + stored_.size()] = 1;
   const Gf256KernelOps& ops = gf256_kernel();
   // Forward elimination with partial pivoting: scan for the first
   // nonzero coefficient; eliminate while that column already has a
@@ -166,12 +116,7 @@ bool Gf256RlcDecoder::add_symbol(const std::uint8_t* coeffs,
   std::memcpy(row(p), rec, stride_);
   present_[p >> 6] |= 1ULL << (p & 63);
   ++rank_;
-  if (track_data_) {
-    FMTCP_CHECK(data.size() == symbol_bytes_);
-    stored_.push_back(std::move(data));
-  } else if (pool_ != nullptr && !data.empty()) {
-    pool_->release(std::move(data));
-  }
+  stored_.push_back(std::move(data));
   return true;
 }
 
@@ -194,23 +139,19 @@ bool Gf256RlcDecoder::add_symbol(const net::EncodedSymbol& symbol) {
   copy.block_symbols = symbol.block_symbols;
   copy.coeff_seed = symbol.coeff_seed;
   copy.systematic_index = symbol.systematic_index;
-  if (track_data_) copy.data = symbol.data;
+  copy.data = symbol.data;
   return add_symbol(std::move(copy));
 }
 
 std::size_t Gf256RlcDecoder::buffered_bytes() const {
-  if (track_data_) {
-    std::size_t total = 0;
-    for (const AlignedBytes& s : stored_) total += s.size();
-    return total;
-  }
-  return static_cast<std::size_t>(rank_) * symbol_bytes_;
+  std::size_t total = 0;
+  for (const AlignedBytes& s : stored_) total += s.size();
+  return total;
 }
 
 const BlockData& Gf256RlcDecoder::decode() {
   if (decoded_.has_value()) return *decoded_;
   FMTCP_CHECK(complete());
-  FMTCP_CHECK(track_data_);
   FMTCP_SPAN("gf256.decode");
   const std::uint32_t k = symbols_;
   const Gf256KernelOps& ops = gf256_kernel();

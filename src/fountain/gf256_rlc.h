@@ -16,7 +16,7 @@
 // multiplies are deferred to decode(), where back-substitution runs on
 // the fused (coefficients | composition) records and each source symbol
 // is materialised as one fused multiply-accumulate pass over the stored
-// payloads. Rank-only mode touches zero payload bytes by construction.
+// payloads, so the online phase touches zero payload bytes.
 //
 // Elimination uses partial pivoting in the GF sense: the first nonzero
 // coefficient of a reduced row picks its pivot column, and the row is
@@ -31,7 +31,6 @@
 
 #include "common/aligned.h"
 #include "common/buffer_pool.h"
-#include "common/rng.h"
 #include "fountain/block.h"
 #include "net/packet.h"
 
@@ -50,56 +49,14 @@ void gf256_encode_with_coefficients_into(const BlockData& block,
                                          const std::uint8_t* coeffs,
                                          AlignedBytes& out);
 
-/// Stateful per-block GF(256) encoder, API-compatible with
-/// RandomLinearEncoder (payload / rank-only modes, optional systematic
-/// prefix, optional buffer pool) so the sender can hold either behind
-/// one interface (fountain/codec.h).
-class Gf256RlcEncoder {
- public:
-  /// Payload mode: encodes real bytes from `block` (copied).
-  Gf256RlcEncoder(std::uint64_t block_id, BlockData block, Rng rng,
-                  bool systematic = false);
-
-  /// Rank-only mode: symbols have empty `data`.
-  Gf256RlcEncoder(std::uint64_t block_id, std::uint32_t symbols,
-                  std::size_t symbol_bytes, Rng rng, bool systematic = false);
-
-  /// Generates the next encoded symbol (source symbol while the
-  /// systematic prefix lasts, then fresh random byte coefficients).
-  net::EncodedSymbol next_symbol();
-
-  /// Optional buffer pool: when set, payload buffers for emitted symbols
-  /// are acquired from it instead of freshly allocated. The pool must
-  /// outlive the encoder. Does not affect the symbol stream.
-  void set_buffer_pool(BufferPool* pool) { pool_ = pool; }
-
-  bool systematic() const { return systematic_; }
-  std::uint64_t block_id() const { return block_id_; }
-  std::uint32_t symbols() const { return symbols_; }
-  std::size_t symbol_bytes() const { return symbol_bytes_; }
-  std::uint64_t generated_count() const { return generated_; }
-
- private:
-  std::uint64_t block_id_;
-  std::uint32_t symbols_;
-  std::size_t symbol_bytes_;
-  std::optional<BlockData> data_;  ///< Absent in rank-only mode.
-  BufferPool* pool_ = nullptr;
-  Rng rng_;
-  bool systematic_ = false;
-  std::uint64_t generated_ = 0;
-  std::vector<std::uint8_t> coeff_scratch_;  ///< Reused per symbol.
-};
-
 /// Incremental GF(256) Gaussian-elimination decoder with lazy payloads.
 /// API-compatible subset of BlockDecoder (fountain/codec.h wraps both).
 class Gf256RlcDecoder {
  public:
-  /// `track_data` false = rank-only mode (no payload bytes stored).
   /// `pool`, when set, receives the payload buffers of dropped redundant
   /// symbols and of stored symbols once the block has been decoded.
   Gf256RlcDecoder(std::uint32_t symbols, std::size_t symbol_bytes,
-                  bool track_data, BufferPool* pool = nullptr);
+                  BufferPool* pool = nullptr);
 
   /// Inserts a symbol given its k expanded coefficient bytes and
   /// payload. Returns true if the symbol was innovative (rank grew).
@@ -111,8 +68,7 @@ class Gf256RlcDecoder {
   /// systematic symbols).
   bool add_symbol(net::EncodedSymbol&& symbol);
 
-  /// Copying convenience overload (tests and observers). The payload is
-  /// only copied in track_data mode.
+  /// Copying convenience overload (tests and observers).
   bool add_symbol(const net::EncodedSymbol& symbol);
 
   /// Current number of linearly independent symbols, k̄_b.
@@ -130,19 +86,17 @@ class Gf256RlcDecoder {
   /// Symbols dropped as linearly dependent.
   std::uint64_t redundant_count() const { return redundant_; }
 
-  /// Receive-buffer bytes this block currently pins (stored symbol rows;
-  /// rank-only mode counts the bytes the rows would occupy).
+  /// Receive-buffer bytes this block currently pins (stored symbol rows).
   std::size_t buffered_bytes() const;
 
-  /// Recovers the original block. Requires complete() and track_data.
+  /// Recovers the original block. Requires complete().
   /// Idempotent; the first call performs back-substitution and the
   /// deferred payload multiplies.
   const BlockData& decode();
 
   // --- Cost introspection ---
   /// Payload bytes run through the multiply kernels (decode() only; the
-  /// online phase is coefficient-only, so this stays 0 until decode and
-  /// stays 0 forever in rank-only mode).
+  /// online phase is coefficient-only, so this stays 0 until decode).
   std::uint64_t payload_bytes_multiplied() const {
     return payload_bytes_multiplied_;
   }
@@ -164,7 +118,6 @@ class Gf256RlcDecoder {
 
   std::uint32_t symbols_;
   std::size_t symbol_bytes_;
-  bool track_data_;
   BufferPool* pool_ = nullptr;
   std::uint32_t rank_ = 0;
   std::uint64_t received_ = 0;
@@ -172,7 +125,7 @@ class Gf256RlcDecoder {
   std::uint64_t payload_bytes_multiplied_ = 0;
   std::uint64_t coeff_bytes_eliminated_ = 0;
   std::uint64_t rows_composed_ = 0;
-  std::size_t stride_;  ///< Record bytes: 2k̂ (track) or k̂ (rank-only).
+  std::size_t stride_;  ///< Record bytes: 2k̂.
   /// Flat fused row arena: record p = [coeffs | composition] at
   /// p·stride_. Pivot row p has coeffs[<p] zero and coeffs[p] == 1;
   /// absent rows zero.
@@ -180,7 +133,7 @@ class Gf256RlcDecoder {
   std::vector<std::uint64_t> present_;  ///< Pivot-present bitmap.
   AlignedBytes scratch_record_;         ///< Incoming record being reduced.
   /// Raw payloads of stored (innovative) symbols, in arrival order; slot
-  /// j is what composition byte j refers to. Empty in rank-only mode.
+  /// j is what composition byte j refers to.
   std::vector<AlignedBytes> stored_;
   std::vector<std::uint8_t> scratch_coeffs_;  ///< Seed expansion reuse.
   std::optional<BlockData> decoded_;

@@ -1,10 +1,9 @@
 #include "fountain/random_linear.h"
 
 #include <cmath>
-#include <utility>
 
 #include "common/check.h"
-#include "obs/trace/span.h"
+#include "common/rng.h"
 
 namespace fmtcp::fountain {
 
@@ -50,53 +49,6 @@ void encode_with_coefficients_into(const BlockData& block,
 double decode_failure_probability(std::uint32_t k_hat, double received) {
   if (received < static_cast<double>(k_hat)) return 1.0;
   return std::exp2(-(received - static_cast<double>(k_hat)));
-}
-
-RandomLinearEncoder::RandomLinearEncoder(std::uint64_t block_id,
-                                         BlockData block, Rng rng,
-                                         bool systematic)
-    : block_id_(block_id),
-      symbols_(block.symbols()),
-      symbol_bytes_(block.symbol_bytes()),
-      data_(std::move(block)),
-      rng_(rng),
-      systematic_(systematic) {}
-
-RandomLinearEncoder::RandomLinearEncoder(std::uint64_t block_id,
-                                         std::uint32_t symbols,
-                                         std::size_t symbol_bytes, Rng rng,
-                                         bool systematic)
-    : block_id_(block_id),
-      symbols_(symbols),
-      symbol_bytes_(symbol_bytes),
-      rng_(rng),
-      systematic_(systematic) {
-  FMTCP_CHECK(symbols > 0);
-  FMTCP_CHECK(symbol_bytes > 0);
-}
-
-net::EncodedSymbol RandomLinearEncoder::next_symbol() {
-  FMTCP_COUNT("codec.encode_symbol", 1);
-  net::EncodedSymbol s;
-  s.block = block_id_;
-  s.block_symbols = symbols_;
-  if (systematic_ && generated_ < symbols_) {
-    s.systematic_index = static_cast<std::uint32_t>(generated_);
-    if (data_.has_value()) {
-      if (pool_ != nullptr) s.data = pool_->acquire(symbol_bytes_);
-      const std::uint8_t* src = data_->symbol(s.systematic_index);
-      s.data.assign(src, src + symbol_bytes_);
-    }
-  } else {
-    s.coeff_seed = rng_.next_u64();
-    if (data_.has_value()) {
-      coefficients_from_seed_into(s.coeff_seed, symbols_, coeff_scratch_);
-      if (pool_ != nullptr) s.data = pool_->acquire(symbol_bytes_);
-      encode_with_coefficients_into(*data_, coeff_scratch_, s.data);
-    }
-  }
-  ++generated_;
-  return s;
 }
 
 }  // namespace fmtcp::fountain

@@ -1,20 +1,16 @@
-// Random linear fountain encoder (paper Eq. 1).
+// Random linear fountain code over GF(2) (paper Eq. 1–2).
 //
 // Each encoded symbol c_n = sum_k rho_k * g_nk over GF(2), with the
 // coefficient vector (g_nk) drawn uniformly at random. Packets carry only
 // the 64-bit seed that regenerates the coefficients (both ends expand the
-// seed identically), as practical fountain systems do.
+// seed identically), as practical fountain systems do. The per-block
+// encoder is fountain::SymbolEncoder (codec.h).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
-#include "common/buffer_pool.h"
-#include "common/rng.h"
 #include "fountain/block.h"
 #include "fountain/gf2.h"
-#include "net/packet.h"
 
 namespace fmtcp::fountain {
 
@@ -43,54 +39,5 @@ void encode_with_coefficients_into(const BlockData& block,
 /// of a k̂-symbol block (paper Eq. 2): 1 if received < k̂, else
 /// 2^-(received - k̂).
 double decode_failure_probability(std::uint32_t k_hat, double received);
-
-/// Stateful per-block encoder held by the sender. Can run with or without
-/// payload bytes: in rank-only mode symbols carry just the coefficient
-/// seed, which leaves every protocol decision and packet size unchanged
-/// while skipping the byte XORs (a simulation speed knob).
-///
-/// Optionally *systematic* (like RFC 5053/6330 Raptor codes): the first
-/// k̂ symbols emitted are the source symbols themselves, so a lossless
-/// channel decodes for free; repair symbols afterwards are random linear
-/// combinations as usual.
-class RandomLinearEncoder {
- public:
-  /// Payload mode: encodes real bytes from `block` (copied).
-  RandomLinearEncoder(std::uint64_t block_id, BlockData block, Rng rng,
-                      bool systematic = false);
-
-  /// Rank-only mode: symbols have empty `data`.
-  RandomLinearEncoder(std::uint64_t block_id, std::uint32_t symbols,
-                      std::size_t symbol_bytes, Rng rng,
-                      bool systematic = false);
-
-  /// Generates the next encoded symbol (source symbol while the
-  /// systematic prefix lasts, then fresh random coefficients).
-  net::EncodedSymbol next_symbol();
-
-  /// Optional buffer pool: when set, payload buffers for emitted symbols
-  /// are acquired from it instead of freshly allocated. The pool must
-  /// outlive the encoder. Does not affect the symbol stream (seeds and
-  /// bytes are identical either way).
-  void set_buffer_pool(BufferPool* pool) { pool_ = pool; }
-
-  bool systematic() const { return systematic_; }
-
-  std::uint64_t block_id() const { return block_id_; }
-  std::uint32_t symbols() const { return symbols_; }
-  std::size_t symbol_bytes() const { return symbol_bytes_; }
-  std::uint64_t generated_count() const { return generated_; }
-
- private:
-  std::uint64_t block_id_;
-  std::uint32_t symbols_;
-  std::size_t symbol_bytes_;
-  std::optional<BlockData> data_;  ///< Absent in rank-only mode.
-  BufferPool* pool_ = nullptr;
-  Rng rng_;
-  bool systematic_ = false;
-  std::uint64_t generated_ = 0;
-  BitVector coeff_scratch_;  ///< Reused per symbol (payload mode only).
-};
 
 }  // namespace fmtcp::fountain

@@ -48,7 +48,6 @@ ProtocolOptions ProtocolOptions::defaults() {
   options.fmtcp.symbol_header_bytes = 12;
   options.fmtcp.delta_hat = 0.01;
   options.fmtcp.max_pending_blocks = 64;
-  options.fmtcp.carry_payload = true;
 
   options.fixed_rate.block_symbols = options.fmtcp.block_symbols;
   options.fixed_rate.symbol_bytes = options.fmtcp.symbol_bytes;

@@ -26,8 +26,9 @@ using BlockId = std::uint64_t;
 /// The coefficient vector is not shipped explicitly: like practical
 /// fountain deployments (e.g. RFC 5053 / RaptorQ), the packet carries the
 /// PRNG seed from which both ends regenerate the k-bit coefficient vector.
-/// `data` carries the encoded bytes; it may be empty when the simulation
-/// runs in rank-only mode (protocol timing is unaffected).
+/// `data` carries the encoded bytes; it is empty for the fixed-rate
+/// baseline, which counts MDS symbols without coding them (protocol
+/// timing is unaffected).
 struct EncodedSymbol {
   BlockId block = 0;
   std::uint32_t block_symbols = 0;  ///< k̂ of the block (vector length).

@@ -5,12 +5,10 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/logging.h"
 
 namespace fmtcp::tcp {
 
 namespace {
-constexpr const char* kModule = "subflow";
 /// Wire bytes charged per block-ACK entry piggybacked on an ACK.
 constexpr std::size_t kBlockAckBytes = 8;
 }  // namespace
@@ -193,9 +191,6 @@ void Subflow::on_ack_packet(net::Packet ack) {
                              cc_->ssthresh()});
       }
       note_cwnd(/*force=*/true);
-      FMTCP_LOG(LogLevel::kDebug, simulator_.now(), kModule,
-                "sf%u fast retransmit seq=%llu cwnd=%.1f", config_.id,
-                static_cast<unsigned long long>(snd_una_), cc_->cwnd());
       if (outstanding_.count(snd_una_) != 0) retransmit(snd_una_);
     }
   }
@@ -373,10 +368,6 @@ void Subflow::on_rto() {
   if (outstanding_.empty()) return;
   ++timeouts_;
   obs_rtos_.inc();
-  FMTCP_LOG(LogLevel::kDebug, simulator_.now(), kModule,
-            "sf%u RTO seq=%llu rto=%.3fs", config_.id,
-            static_cast<unsigned long long>(snd_una_),
-            to_seconds(rto()));
   cc_->on_timeout();
   if (obs_ != nullptr) {
     obs_->timeline.emit({obs::EventType::kRtoFired, config_.id,

@@ -5,8 +5,7 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "fountain/decoder.h"
-#include "fountain/random_linear.h"
+#include "fountain/codec.h"
 
 namespace fmtcp::analysis {
 namespace {
@@ -71,8 +70,9 @@ TEST(CodingAnalysis, MonteCarloMatchesExpectedSymbols) {
   double total = 0.0;
   const int trials = 400;
   for (int t = 0; t < trials; ++t) {
-    fountain::RandomLinearEncoder encoder(t, k, 2, rng.fork());
-    fountain::BlockDecoder decoder(k, 2, false);
+    fountain::SymbolEncoder encoder(fountain::CodingField::kGf2, t,
+                                    fountain::BlockData(k, 2), rng.fork());
+    fountain::BlockDecoder decoder(k, 2);
     while (!decoder.complete()) decoder.add_symbol(encoder.next_symbol());
     total += static_cast<double>(decoder.received_count());
   }

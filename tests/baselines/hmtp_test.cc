@@ -13,7 +13,6 @@ HmtpConnectionConfig test_config(std::uint64_t total_blocks) {
   config.params.block_symbols = 16;
   config.params.symbol_bytes = 64;
   config.params.total_blocks = total_blocks;
-  config.params.carry_payload = true;
   config.subflow.mss_payload = 8 * config.params.symbol_wire_bytes();
   config.subflow.rtt.max_rto = 4 * kSecond;
   return config;

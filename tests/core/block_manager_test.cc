@@ -12,7 +12,6 @@ FmtcpParams small_params() {
   params.block_symbols = 8;
   params.symbol_bytes = 16;
   params.max_pending_blocks = 4;
-  params.carry_payload = false;
   return params;
 }
 

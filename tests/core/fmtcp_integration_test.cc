@@ -15,7 +15,6 @@ FmtcpConnectionConfig test_config(std::uint64_t total_blocks = 0) {
   config.params.symbol_header_bytes = 12;
   config.params.delta_hat = 0.05;
   config.params.max_pending_blocks = 32;
-  config.params.carry_payload = true;
   config.params.total_blocks = total_blocks;
   config.subflow.mss_payload = 8 * config.params.symbol_wire_bytes();
   config.subflow.rtt.max_rto = 4 * kSecond;
@@ -140,23 +139,6 @@ TEST(FmtcpIntegration, ReceiverBufferBounded) {
                           test_config().params.block_bytes() * 2;
   EXPECT_LT(run.connection.receiver().max_buffered_bytes(), cap);
   EXPECT_GT(run.connection.receiver().blocks_delivered(), 100u);
-}
-
-TEST(FmtcpIntegration, RankOnlyModeBehavesLikePayloadMode) {
-  FmtcpConnectionConfig with_payload = test_config(30);
-  FmtcpConnectionConfig rank_only = test_config(30);
-  rank_only.params.carry_payload = false;
-
-  TestRun a(10, with_payload, 0.05);
-  a.sim.run_until(60 * kSecond);
-  TestRun b(10, rank_only, 0.05);
-  b.sim.run_until(60 * kSecond);
-  // Identical protocol decisions: same seed, same packet sizes -> same
-  // delivery count and segment counts.
-  EXPECT_EQ(a.connection.receiver().blocks_delivered(),
-            b.connection.receiver().blocks_delivered());
-  EXPECT_EQ(a.connection.subflow(0).segments_sent(),
-            b.connection.subflow(0).segments_sent());
 }
 
 TEST(FmtcpIntegration, UrgentSymbolsPreferGoodPath) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fountain/block.h"
-#include "fountain/random_linear.h"
+#include "fountain/codec.h"
 
 namespace fmtcp::core {
 namespace {
@@ -12,12 +12,11 @@ FmtcpParams small_params() {
   FmtcpParams params;
   params.block_symbols = 8;
   params.symbol_bytes = 16;
-  params.carry_payload = true;
   return params;
 }
 
 /// Packet carrying `count` fresh symbols of `block` from `encoder`.
-net::Packet symbol_packet(fountain::RandomLinearEncoder& encoder,
+net::Packet symbol_packet(fountain::SymbolEncoder& encoder,
                           std::uint32_t count) {
   net::Packet p;
   p.kind = net::PacketKind::kData;
@@ -27,11 +26,11 @@ net::Packet symbol_packet(fountain::RandomLinearEncoder& encoder,
   return p;
 }
 
-fountain::RandomLinearEncoder encoder_for(net::BlockId id,
-                                          const FmtcpParams& params,
-                                          std::uint64_t seed) {
-  return fountain::RandomLinearEncoder(
-      id,
+fountain::SymbolEncoder encoder_for(net::BlockId id,
+                                    const FmtcpParams& params,
+                                    std::uint64_t seed) {
+  return fountain::SymbolEncoder(
+      fountain::CodingField::kGf2, id,
       fountain::make_deterministic_block(id, params.block_symbols,
                                          params.symbol_bytes),
       Rng(seed));
@@ -147,8 +146,8 @@ TEST(FmtcpReceiver, CorruptPayloadDetected) {
   Fixture f;
   // Feed symbols whose payload does NOT match the deterministic block:
   // encode a different block id under block 0's label.
-  fountain::RandomLinearEncoder wrong(
-      0,
+  fountain::SymbolEncoder wrong(
+      fountain::CodingField::kGf2, 0,
       fountain::make_deterministic_block(99, f.params.block_symbols,
                                          f.params.symbol_bytes),
       Rng(7));

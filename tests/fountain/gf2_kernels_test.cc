@@ -132,7 +132,7 @@ TEST_P(KernelEquivalence, ReduceRowMatchesScalar) {
   Rng rng(31337);
   for (std::uint32_t k : {8u, 64u, 65u, 128u, 256u, 320u, 512u}) {
     const std::size_t cw = (k + 63) / 64;
-    for (std::size_t stride : {cw, 2 * cw}) {  // Rank-only and fused track.
+    for (std::size_t stride : {cw, 2 * cw}) {  // Coefficients alone, fused.
       AlignedWords arena(k * stride);
       std::vector<std::uint64_t> present(cw, 0);
       for (std::uint32_t p = 0; p < k; ++p) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "fountain/codec.h"
+
 namespace fmtcp::fountain {
 namespace {
 
@@ -60,7 +62,8 @@ TEST(FailureProbability, PaperEquationTwo) {
 
 TEST(Encoder, PayloadModeEncodesBytes) {
   Rng rng(5);
-  RandomLinearEncoder encoder(9, make_deterministic_block(9, 8, 16), rng);
+  SymbolEncoder encoder(CodingField::kGf2, 9,
+                        make_deterministic_block(9, 8, 16), rng);
   const net::EncodedSymbol symbol = encoder.next_symbol();
   EXPECT_EQ(symbol.block, 9u);
   EXPECT_EQ(symbol.block_symbols, 8u);
@@ -72,21 +75,13 @@ TEST(Encoder, PayloadModeEncodesBytes) {
                                      coeffs));
 }
 
-TEST(Encoder, RankOnlyModeOmitsData) {
-  Rng rng(5);
-  RandomLinearEncoder encoder(1, 8, 16, rng);
-  const net::EncodedSymbol symbol = encoder.next_symbol();
-  EXPECT_TRUE(symbol.data.empty());
-  EXPECT_EQ(symbol.block_symbols, 8u);
-}
-
 TEST(Encoder, SymbolsUseFreshSeeds) {
   Rng rng(5);
-  RandomLinearEncoder encoder(1, 8, 16, rng);
+  SymbolEncoder encoder(CodingField::kGf2, 1,
+                        make_deterministic_block(1, 8, 16), rng);
   const auto a = encoder.next_symbol();
   const auto b = encoder.next_symbol();
   EXPECT_NE(a.coeff_seed, b.coeff_seed);
-  EXPECT_EQ(encoder.generated_count(), 2u);
 }
 
 }  // namespace

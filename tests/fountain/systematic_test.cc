@@ -1,15 +1,15 @@
 // Systematic random-linear fountain tests.
 #include <gtest/gtest.h>
 
-#include "fountain/decoder.h"
-#include "fountain/random_linear.h"
+#include "fountain/codec.h"
 
 namespace fmtcp::fountain {
 namespace {
 
 TEST(Systematic, FirstKSymbolsAreSource) {
   const BlockData original = make_deterministic_block(1, 8, 16);
-  RandomLinearEncoder encoder(1, original, Rng(3), /*systematic=*/true);
+  SymbolEncoder encoder(CodingField::kGf2, 1, original, Rng(3),
+                        /*systematic=*/true);
   for (std::uint32_t i = 0; i < 8; ++i) {
     const net::EncodedSymbol s = encoder.next_symbol();
     EXPECT_TRUE(s.is_systematic());
@@ -22,8 +22,9 @@ TEST(Systematic, FirstKSymbolsAreSource) {
 
 TEST(Systematic, LosslessDecodeWithExactlyK) {
   const BlockData original = make_deterministic_block(2, 16, 8);
-  RandomLinearEncoder encoder(2, original, Rng(5), true);
-  BlockDecoder decoder(16, 8, true);
+  SymbolEncoder encoder(CodingField::kGf2, 2, original, Rng(5),
+                        /*systematic=*/true);
+  BlockDecoder decoder(16, 8);
   for (std::uint32_t i = 0; i < 16; ++i) {
     EXPECT_TRUE(decoder.add_symbol(encoder.next_symbol()));
   }
@@ -35,8 +36,9 @@ TEST(Systematic, LosslessDecodeWithExactlyK) {
 
 TEST(Systematic, RepairSymbolsRecoverErasures) {
   const BlockData original = make_deterministic_block(3, 16, 8);
-  RandomLinearEncoder encoder(3, original, Rng(7), true);
-  BlockDecoder decoder(16, 8, true);
+  SymbolEncoder encoder(CodingField::kGf2, 3, original, Rng(7),
+                        /*systematic=*/true);
+  BlockDecoder decoder(16, 8);
   // Drop every fourth systematic symbol; feed repairs until complete.
   for (std::uint32_t i = 0; i < 16; ++i) {
     const net::EncodedSymbol s = encoder.next_symbol();
@@ -53,26 +55,17 @@ TEST(Systematic, RepairSymbolsRecoverErasures) {
 }
 
 TEST(Systematic, NonSystematicDefaultUnchanged) {
-  RandomLinearEncoder encoder(4, 8, 16, Rng(9));
-  EXPECT_FALSE(encoder.systematic());
+  SymbolEncoder encoder(CodingField::kGf2, 4,
+                        make_deterministic_block(4, 8, 16), Rng(9));
   EXPECT_FALSE(encoder.next_symbol().is_systematic());
-}
-
-TEST(Systematic, RankOnlyModeCarriesIndex) {
-  RandomLinearEncoder encoder(5, 8, 16, Rng(11), true);
-  const net::EncodedSymbol s = encoder.next_symbol();
-  EXPECT_TRUE(s.is_systematic());
-  EXPECT_TRUE(s.data.empty());
-  BlockDecoder decoder(8, 16, false);
-  EXPECT_TRUE(decoder.add_symbol(s));
-  EXPECT_EQ(decoder.rank(), 1u);
 }
 
 TEST(Systematic, DuplicateSourceSymbolRedundant) {
   const BlockData original = make_deterministic_block(6, 8, 4);
-  RandomLinearEncoder encoder(6, original, Rng(13), true);
+  SymbolEncoder encoder(CodingField::kGf2, 6, original, Rng(13),
+                        /*systematic=*/true);
   const net::EncodedSymbol s = encoder.next_symbol();
-  BlockDecoder decoder(8, 4, true);
+  BlockDecoder decoder(8, 4);
   EXPECT_TRUE(decoder.add_symbol(s));
   EXPECT_FALSE(decoder.add_symbol(s));
   EXPECT_EQ(decoder.redundant_count(), 1u);

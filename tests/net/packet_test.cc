@@ -59,7 +59,7 @@ TEST(EncodedSymbol, CarriesBlockGeometry) {
   s.block_symbols = 64;
   s.coeff_seed = 7;
   EXPECT_EQ(s.block, 42u);
-  EXPECT_TRUE(s.data.empty());  // Rank-only by default.
+  EXPECT_TRUE(s.data.empty());  // No payload by default.
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 
 #include "analysis/coding_analysis.h"
 #include "common/rng.h"
-#include "fountain/decoder.h"
+#include "fountain/codec.h"
 #include "fountain/random_linear.h"
 
 namespace fmtcp::fountain {
@@ -21,8 +21,9 @@ class CodecRoundTrip : public ::testing::TestWithParam<CodecParam> {};
 TEST_P(CodecRoundTrip, DecodesToOriginal) {
   const auto [k, symbol_bytes, seed] = GetParam();
   const BlockData original = make_deterministic_block(seed, k, symbol_bytes);
-  RandomLinearEncoder encoder(seed, original, Rng(seed * 31 + 7));
-  BlockDecoder decoder(k, symbol_bytes, /*track_data=*/true);
+  SymbolEncoder encoder(CodingField::kGf2, seed, original,
+                        Rng(seed * 31 + 7));
+  BlockDecoder decoder(k, symbol_bytes);
   int guard = 0;
   while (!decoder.complete()) {
     decoder.add_symbol(encoder.next_symbol());
@@ -32,15 +33,18 @@ TEST_P(CodecRoundTrip, DecodesToOriginal) {
   EXPECT_EQ(decoder.rank(), k);
 }
 
+// Rank depends on the coefficients alone: an all-zero block, which
+// carries no information, tracks the same rank symbol by symbol as real
+// data coded with the same seeds.
 TEST_P(CodecRoundTrip, RankOnlyModeTracksSameRank) {
   const auto [k, symbol_bytes, seed] = GetParam();
-  RandomLinearEncoder data_encoder(
-      seed, make_deterministic_block(seed, k, symbol_bytes),
-      Rng(seed * 31 + 7));
-  RandomLinearEncoder rank_encoder(seed, k, symbol_bytes,
-                                   Rng(seed * 31 + 7));
-  BlockDecoder data_decoder(k, symbol_bytes, true);
-  BlockDecoder rank_decoder(k, symbol_bytes, false);
+  SymbolEncoder data_encoder(CodingField::kGf2, seed,
+                             make_deterministic_block(seed, k, symbol_bytes),
+                             Rng(seed * 31 + 7));
+  SymbolEncoder rank_encoder(CodingField::kGf2, seed,
+                             BlockData(k, symbol_bytes), Rng(seed * 31 + 7));
+  BlockDecoder data_decoder(k, symbol_bytes);
+  BlockDecoder rank_decoder(k, symbol_bytes);
   for (std::uint32_t i = 0; i < 2 * k + 8; ++i) {
     const bool a = data_decoder.add_symbol(data_encoder.next_symbol());
     const bool b = rank_decoder.add_symbol(rank_encoder.next_symbol());
@@ -63,8 +67,8 @@ TEST_P(RedundancySweep, MeasuredOverheadMatchesAnalysis) {
   double total = 0.0;
   const int trials = 300;
   for (int t = 0; t < trials; ++t) {
-    RandomLinearEncoder encoder(t, k, 1, rng.fork());
-    BlockDecoder decoder(k, 1, false);
+    SymbolEncoder encoder(CodingField::kGf2, t, BlockData(k, 1), rng.fork());
+    BlockDecoder decoder(k, 1);
     while (!decoder.complete()) decoder.add_symbol(encoder.next_symbol());
     total += static_cast<double>(decoder.received_count());
   }
@@ -86,8 +90,8 @@ TEST_P(FailureModelSweep, EquationTwoBoundsEmpiricalFailure) {
   int failures = 0;
   const int trials = 2000;
   for (int t = 0; t < trials; ++t) {
-    RandomLinearEncoder encoder(t, k, 1, rng.fork());
-    BlockDecoder decoder(k, 1, false);
+    SymbolEncoder encoder(CodingField::kGf2, t, BlockData(k, 1), rng.fork());
+    BlockDecoder decoder(k, 1);
     for (std::uint32_t i = 0; i < k + extra; ++i) {
       decoder.add_symbol(encoder.next_symbol());
     }

@@ -7,8 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "fountain/decoder.h"
-#include "fountain/random_linear.h"
+#include "fountain/codec.h"
 
 namespace fmtcp::fountain {
 namespace {
@@ -20,7 +19,7 @@ TEST_P(DecoderChaos, ShuffledAndDuplicatedSymbolsStillDecode) {
   Rng rng(seed);
   const std::uint32_t k = 24;
   const BlockData original = make_deterministic_block(seed, k, 12);
-  RandomLinearEncoder encoder(seed, original, rng.fork());
+  SymbolEncoder encoder(CodingField::kGf2, seed, original, rng.fork());
 
   // Generate a pool with duplicates, then shuffle it.
   std::vector<net::EncodedSymbol> pool;
@@ -32,7 +31,7 @@ TEST_P(DecoderChaos, ShuffledAndDuplicatedSymbolsStillDecode) {
     std::swap(pool[i - 1], pool[rng.next_below(i)]);
   }
 
-  BlockDecoder decoder(k, 12, /*track_data=*/true);
+  BlockDecoder decoder(k, 12);
   std::uint32_t last_rank = 0;
   for (const auto& symbol : pool) {
     decoder.add_symbol(symbol);
@@ -50,8 +49,8 @@ TEST_P(DecoderChaos, SystematicAndRepairInterleaved) {
   Rng rng(seed * 7 + 1);
   const std::uint32_t k = 16;
   const BlockData original = make_deterministic_block(seed, k, 8);
-  RandomLinearEncoder encoder(seed, original, rng.fork(),
-                              /*systematic=*/true);
+  SymbolEncoder encoder(CodingField::kGf2, seed, original, rng.fork(),
+                        /*systematic=*/true);
 
   std::vector<net::EncodedSymbol> pool;
   for (std::uint32_t i = 0; i < 2 * k; ++i) {
@@ -66,7 +65,7 @@ TEST_P(DecoderChaos, SystematicAndRepairInterleaved) {
     std::swap(survivors[i - 1], survivors[rng.next_below(i)]);
   }
 
-  BlockDecoder decoder(k, 8, true);
+  BlockDecoder decoder(k, 8);
   for (const auto& symbol : survivors) {
     if (decoder.complete()) break;
     decoder.add_symbol(symbol);
@@ -86,8 +85,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DecoderChaos,
 TEST(DecoderRobustness, RankNeverExceedsReceivedMinusRedundant) {
   Rng rng(99);
   const std::uint32_t k = 32;
-  RandomLinearEncoder encoder(1, k, 4, rng.fork());
-  BlockDecoder decoder(k, 4, false);
+  SymbolEncoder encoder(CodingField::kGf2, 1,
+                        make_deterministic_block(1, k, 4), rng.fork());
+  BlockDecoder decoder(k, 4);
   for (int i = 0; i < 200; ++i) {
     decoder.add_symbol(encoder.next_symbol());
     EXPECT_EQ(decoder.rank() + decoder.redundant_count(),
@@ -101,10 +101,10 @@ TEST(DecoderRobustness, MixedBlocksNeverCrossContaminate) {
   const std::uint32_t k = 16;
   const BlockData block_a = make_deterministic_block(100, k, 8);
   const BlockData block_b = make_deterministic_block(200, k, 8);
-  RandomLinearEncoder enc_a(100, block_a, rng.fork());
-  RandomLinearEncoder enc_b(200, block_b, rng.fork());
-  BlockDecoder dec_a(k, 8, true);
-  BlockDecoder dec_b(k, 8, true);
+  SymbolEncoder enc_a(CodingField::kGf2, 100, block_a, rng.fork());
+  SymbolEncoder enc_b(CodingField::kGf2, 200, block_b, rng.fork());
+  BlockDecoder dec_a(k, 8);
+  BlockDecoder dec_b(k, 8);
   while (!dec_a.complete() || !dec_b.complete()) {
     if (!dec_a.complete()) dec_a.add_symbol(enc_a.next_symbol());
     if (!dec_b.complete()) dec_b.add_symbol(enc_b.next_symbol());

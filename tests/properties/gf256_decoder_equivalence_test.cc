@@ -132,8 +132,9 @@ std::vector<net::EncodedSymbol> chaotic_stream(std::uint64_t seed,
                                                std::size_t symbol_bytes,
                                                bool systematic) {
   Rng rng(seed * 131 + 17);
-  Gf256RlcEncoder encoder(seed, make_deterministic_block(seed, k, symbol_bytes),
-                          rng.fork(), systematic);
+  SymbolEncoder encoder(CodingField::kGf256, seed,
+                        make_deterministic_block(seed, k, symbol_bytes),
+                        rng.fork(), systematic);
   std::vector<net::EncodedSymbol> pool;
   for (std::uint32_t i = 0; i < 2 * k + 8; ++i) {
     pool.push_back(encoder.next_symbol());
@@ -157,7 +158,7 @@ TEST_P(Gf256LazyEagerEquivalence, IdenticalTrajectoryAndDecode) {
   const std::vector<net::EncodedSymbol> stream =
       chaotic_stream(seed, k, symbol_bytes, systematic);
 
-  Gf256RlcDecoder lazy(k, symbol_bytes, /*track_data=*/true);
+  Gf256RlcDecoder lazy(k, symbol_bytes);
   EagerGf256Decoder eager(k, symbol_bytes);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     net::EncodedSymbol copy = stream[i];
@@ -177,26 +178,22 @@ TEST_P(Gf256LazyEagerEquivalence, IdenticalTrajectoryAndDecode) {
             make_deterministic_block(seed, k, symbol_bytes).bytes());
 }
 
+// The online phase is rank-only: it eliminates coefficient bytes and
+// touches no payload byte, even on the decoder that stores payloads.
 TEST_P(Gf256LazyEagerEquivalence, RankOnlyModeTouchesZeroPayloadBytes) {
   const auto [seed, k, systematic] = GetParam();
   const std::vector<net::EncodedSymbol> stream =
       chaotic_stream(seed, k, 24, systematic);
-  Gf256RlcDecoder rank_only(k, 24, /*track_data=*/false);
-  Gf256RlcDecoder tracked(k, 24, /*track_data=*/true);
+  Gf256RlcDecoder decoder(k, 24);
   for (const auto& symbol : stream) {
-    rank_only.add_symbol(symbol);
-    tracked.add_symbol(symbol);
-    ASSERT_EQ(rank_only.rank(), tracked.rank());
+    decoder.add_symbol(symbol);
+    ASSERT_EQ(decoder.payload_bytes_multiplied(), 0u);
   }
-  // The online phase is coefficient-only; rank-only mode never touches
-  // payload bytes at all.
-  EXPECT_EQ(rank_only.payload_bytes_multiplied(), 0u);
-  EXPECT_EQ(tracked.payload_bytes_multiplied(), 0u);
-  ASSERT_TRUE(tracked.complete());
-  tracked.decode();
-  EXPECT_GT(tracked.payload_bytes_multiplied(), 0u);
-  EXPECT_EQ(tracked.rows_composed(), k);
-  EXPECT_EQ(rank_only.payload_bytes_multiplied(), 0u);
+  ASSERT_TRUE(decoder.complete());
+  EXPECT_EQ(decoder.rows_composed(), 0u);
+  decoder.decode();
+  EXPECT_GT(decoder.payload_bytes_multiplied(), 0u);
+  EXPECT_EQ(decoder.rows_composed(), k);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -214,8 +211,9 @@ TEST(Gf256ReceptionOverhead, DenserFieldNeedsFewerExtraSymbols) {
   std::uint64_t trials = 0;
   for (std::uint64_t seed = 100; seed < 140; ++seed) {
     Rng rng(seed);
-    Gf256RlcEncoder encoder(seed, k, 16, rng.fork());
-    Gf256RlcDecoder decoder(k, 16, /*track_data=*/false);
+    SymbolEncoder encoder(CodingField::kGf256, seed,
+                          make_deterministic_block(seed, k, 16), rng.fork());
+    Gf256RlcDecoder decoder(k, 16);
     while (!decoder.complete()) {
       net::EncodedSymbol s = encoder.next_symbol();
       decoder.add_symbol(std::move(s));
@@ -229,7 +227,7 @@ TEST(Gf256ReceptionOverhead, DenserFieldNeedsFewerExtraSymbols) {
 }
 
 TEST(SymbolCodecWrapper, Gf256RoundTripBehindProtocolInterface) {
-  // The variant wrappers the protocol layer holds: encode with a
+  // The codec the protocol layer holds: encode with a
   // SymbolEncoder(kGf256), decode with a SymbolDecoder(kGf256).
   const std::uint32_t k = 32;
   const std::size_t symbol_bytes = 40;
@@ -237,9 +235,7 @@ TEST(SymbolCodecWrapper, Gf256RoundTripBehindProtocolInterface) {
   SymbolEncoder encoder(CodingField::kGf256, 9,
                         make_deterministic_block(9, k, symbol_bytes),
                         rng.fork(), /*systematic=*/true);
-  SymbolDecoder decoder(CodingField::kGf256, k, symbol_bytes,
-                        /*track_data=*/true);
-  EXPECT_EQ(encoder.field(), CodingField::kGf256);
+  SymbolDecoder decoder(CodingField::kGf256, k, symbol_bytes);
   EXPECT_EQ(decoder.field(), CodingField::kGf256);
   while (!decoder.complete()) {
     decoder.add_symbol(encoder.next_symbol());
@@ -253,8 +249,9 @@ TEST(SymbolCodecWrapper, Gf256RoundTripBehindProtocolInterface) {
 // per symbol handed to the decoder, innovative or not.
 TEST(Gf256RlcDecoder, SpanTracerCountsEveryAddedSymbol) {
   const std::uint32_t k = 16;
-  Gf256RlcEncoder encoder(1, make_deterministic_block(1, k, 24), Rng(9));
-  Gf256RlcDecoder decoder(k, 24, /*track_data=*/true);
+  SymbolEncoder encoder(CodingField::kGf256, 1,
+                        make_deterministic_block(1, k, 24), Rng(9));
+  Gf256RlcDecoder decoder(k, 24);
   obs::trace::start({});
   std::uint64_t added = 0;
   while (!decoder.complete()) {

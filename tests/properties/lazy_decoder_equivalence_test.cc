@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "fountain/decoder.h"
+#include "fountain/codec.h"
 #include "fountain/random_linear.h"
 
 namespace fmtcp::fountain {
@@ -100,9 +100,9 @@ std::vector<net::EncodedSymbol> chaotic_stream(std::uint64_t seed,
                                                std::size_t symbol_bytes,
                                                bool systematic) {
   Rng rng(seed * 131 + 17);
-  RandomLinearEncoder encoder(seed,
-                              make_deterministic_block(seed, k, symbol_bytes),
-                              rng.fork(), systematic);
+  SymbolEncoder encoder(CodingField::kGf2, seed,
+                        make_deterministic_block(seed, k, symbol_bytes),
+                        rng.fork(), systematic);
   std::vector<net::EncodedSymbol> pool;
   for (std::uint32_t i = 0; i < 2 * k + 8; ++i) {
     pool.push_back(encoder.next_symbol());
@@ -125,7 +125,7 @@ TEST_P(LazyEagerEquivalence, IdenticalTrajectoryAndDecode) {
   const std::vector<net::EncodedSymbol> stream =
       chaotic_stream(seed, k, symbol_bytes, systematic);
 
-  BlockDecoder lazy(k, symbol_bytes, /*track_data=*/true);
+  BlockDecoder lazy(k, symbol_bytes);
   EagerDecoder eager(k, symbol_bytes);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const bool a = lazy.add_symbol(stream[i]);
@@ -143,32 +143,29 @@ TEST_P(LazyEagerEquivalence, IdenticalTrajectoryAndDecode) {
             make_deterministic_block(seed, k, symbol_bytes).bytes());
 }
 
+// The online phase is rank-only: add_symbol() eliminates coefficients
+// and compositions and touches no payload byte, even on the decoder that
+// stores payloads; decode() then composes every source row once.
 TEST_P(LazyEagerEquivalence, RankOnlyModeTouchesZeroPayloadBytes) {
   const auto [seed, k, systematic] = GetParam();
   const std::vector<net::EncodedSymbol> stream =
       chaotic_stream(seed, k, 24, systematic);
-  BlockDecoder rank_only(k, 24, /*track_data=*/false);
-  BlockDecoder tracked(k, 24, /*track_data=*/true);
+  BlockDecoder decoder(k, 24);
   for (const auto& symbol : stream) {
-    rank_only.add_symbol(symbol);
-    tracked.add_symbol(symbol);
-    ASSERT_EQ(rank_only.rank(), tracked.rank());
+    decoder.add_symbol(symbol);
+    ASSERT_EQ(decoder.payload_bytes_xored(), 0u);
   }
-  // Lazy elimination never touches payload bytes online; rank-only mode
-  // never touches them at all.
-  EXPECT_EQ(rank_only.payload_bytes_xored(), 0u);
-  EXPECT_EQ(tracked.payload_bytes_xored(), 0u);
-  ASSERT_TRUE(tracked.complete());
-  tracked.decode();
-  EXPECT_GT(tracked.payload_bytes_xored(), 0u);
-  EXPECT_EQ(tracked.rows_composed(), k);
-  EXPECT_EQ(rank_only.payload_bytes_xored(), 0u);
+  ASSERT_TRUE(decoder.complete());
+  EXPECT_EQ(decoder.rows_composed(), 0u);
+  decoder.decode();
+  EXPECT_GT(decoder.payload_bytes_xored(), 0u);
+  EXPECT_EQ(decoder.rows_composed(), k);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Streams, LazyEagerEquivalence,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u),
-                       ::testing::Values(4u, 16u, 24u, 64u, 128u),
+                       ::testing::Values(4u, 16u, 24u, 64u, 65u, 128u, 256u),
                        ::testing::Bool()));
 
 }  // namespace

@@ -36,7 +36,6 @@ TEST_P(FmtcpPathSweep, DeliversAllBlocksInOrderVerified) {
   config.params.block_symbols = 16;
   config.params.symbol_bytes = 64;
   config.params.total_blocks = 30;
-  config.params.carry_payload = true;
   config.subflow.mss_payload = 8 * config.params.symbol_wire_bytes();
   config.subflow.rtt.max_rto = 4 * kSecond;
 

@@ -37,6 +37,8 @@ BAD_VALUES = [
     # The baselines have no delayed-ACK or LIA option.
     ("--protocol=hmtp --delayed_acks", "--delayed_acks"),
     ("--protocol=fixedrate --lia", "--lia"),
+    # The printf log and its flag are gone.
+    ("--log-level=debug", "--log-level"),
 ]
 
 

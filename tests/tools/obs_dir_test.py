@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """fmtcp_sim --obs-dir=DIR must write DIR/metrics.json, DIR/timeline.jsonl
 (with packet events for all four harness links) and DIR/spans.json, which
-trace_summary reads by format; with --seeds > 1 only spans.json; and an
-unwritable DIR must fail, naming the path, before the simulation runs.
+trace_summary reads by format, exiting 1 and naming the file when it is
+handed one that is neither (metrics.json); with --seeds > 1 only
+spans.json; and an unwritable DIR must fail, naming the path, before the
+simulation runs.
 
     obs_dir_test.py FMTCP_SIM TRACE_SUMMARY SCRATCH_DIR
 """
@@ -50,6 +52,12 @@ def check_run(sim, summary, out, protocol, failures):
         if result.returncode != 0 or header not in result.stdout:
             failures.append(f"{protocol}: trace_summary {name}: exit "
                             f"{result.returncode}, no {header!r}")
+    metrics = os.path.join(out, "metrics.json")
+    result = run(summary, metrics)
+    if result.returncode != 1 or metrics not in result.stderr:
+        failures.append(f"{protocol}: trace_summary metrics.json: exit "
+                        f"{result.returncode}, stderr "
+                        f"{result.stderr.strip()!r}")
 
 
 def main(argv):

@@ -13,7 +13,6 @@
 //   fmtcp_sim --protocol=mptcp --loss2=0.10 --reinjection --sack
 //   fmtcp_sim --protocol=fmtcp --surge=50:0.35,200:0.01 --series
 //   fmtcp_sim --protocol=fmtcp --obs-dir=/tmp/run --duration=5
-//   fmtcp_sim --protocol=fmtcp --log-level=debug --duration=2
 //   fmtcp_sim --protocol=fmtcp --profile --duration=10
 #include <sys/stat.h>
 
@@ -30,7 +29,6 @@
 
 #include "common/check.h"
 #include "common/flags.h"
-#include "common/logging.h"
 #include "fountain/coding_field.h"
 #include "harness/runner.h"
 #include "harness/sweep.h"
@@ -87,18 +85,6 @@ std::vector<net::TimeVaryingLoss::Step> parse_surge(
     steps.insert(steps.begin(), {0, initial_rate});
   }
   return steps;
-}
-
-LogLevel parse_log_level(const std::string& name) {
-  if (name == "trace") return LogLevel::kTrace;
-  if (name == "debug") return LogLevel::kDebug;
-  if (name == "info") return LogLevel::kInfo;
-  if (name == "warn") return LogLevel::kWarn;
-  if (name == "error") return LogLevel::kError;
-  std::fprintf(stderr,
-               "unknown --log-level '%s' (trace|debug|info|warn|error)\n",
-               name.c_str());
-  std::exit(2);
 }
 
 /// Opens `dir/name` (creating `dir` if missing) before the run, so a bad
@@ -216,8 +202,6 @@ int main(int argc, char** argv) {
       "write metrics.json, timeline.jsonl and spans.json into DIR");
   const bool profile = flags.get_bool(
       "profile", false, "print the span-profile aggregate table");
-  const std::string log_level_name = flags.get_string(
-      "log-level", "warn", "trace | debug | info | warn | error");
 
   if (flags.get_bool("help", false, "show this help")) {
     std::printf("usage: %s [flags]\n%s", flags.program().c_str(),
@@ -268,8 +252,6 @@ int main(int argc, char** argv) {
           "off for hmtp and fixedrate");
   require(!baseline || !options.fmtcp_use_lia, "lia",
           "off for hmtp and fixedrate");
-
-  set_log_level(parse_log_level(log_level_name));
 
   // Per-run outputs of several seeds would collide, so a multi-seed run
   // writes only the span trace, which covers the whole process.

@@ -6,6 +6,8 @@
 //     percentiles.
 //   - DIR/timeline.jsonl, an event timeline (anything else) →
 //     per-subflow, per-block and per-link (packet event) summaries.
+//     A file none of whose lines parses as an event is not a timeline:
+//     it exits 1 naming the file.
 //
 //   fmtcp_sim --protocol=fmtcp --obs-dir=/tmp/run --duration=30
 //   trace_summary /tmp/run/timeline.jsonl
@@ -19,15 +21,22 @@
 
 namespace {
 
-void summarize_timeline(std::istream& in) {
+int summarize_timeline(std::istream& in, const char* path) {
   const fmtcp::obs::TimelineSummary summary =
       fmtcp::obs::summarize_timeline(in);
+  if (summary.total_events == 0 && summary.malformed_lines > 0) {
+    std::fprintf(stderr, "%s: not a timeline (none of its %llu lines parses)\n",
+                 path,
+                 static_cast<unsigned long long>(summary.malformed_lines));
+    return 1;
+  }
   std::fputs(fmtcp::obs::format_timeline_summary(summary).c_str(), stdout);
   if (!summary.per_link.empty()) {
     std::printf(
         "\n(link ids from the harness: 0/2 = path-1/2 forward, 1/3 = "
         "reverse)\n");
   }
+  return 0;
 }
 
 void summarize_spans(std::istream& in) {
@@ -63,8 +72,7 @@ int main(int argc, char** argv) {
   in.seekg(0);
   if (first_line.find("\"traceEvents\"") != std::string::npos) {
     summarize_spans(in);
-  } else {
-    summarize_timeline(in);
+    return 0;
   }
-  return 0;
+  return summarize_timeline(in, argv[1]);
 }
