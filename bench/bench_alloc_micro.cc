@@ -31,8 +31,8 @@ class StaticEnv final : public AllocatorEnv {
     }
   }
 
-  std::vector<SubflowSnapshot> subflow_snapshots() const override {
-    return snaps_;
+  void subflow_snapshots(std::vector<SubflowSnapshot>& out) const override {
+    out = snaps_;
   }
   std::optional<net::BlockId> block_at(std::size_t index) const override {
     if (index < blocks_) return index;

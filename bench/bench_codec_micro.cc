@@ -14,9 +14,11 @@
 //    (default 0.20) against the baseline file (tools/check.sh
 //    FMTCP_BENCH_GUARD=1).
 //    The harness also covers the GF(256) RLC ablation codec
-//    (gf256_dense_k* / gf256_systematic_k*) and the raw gf256 multiply
+//    (gf256_dense_k* / gf256_systematic_k*), the raw gf256 multiply
 //    kernel (gf256_mul_region vs gf256_mul_region_scalar — the
-//    split-nibble SIMD speedup on record). The JSON records the active
+//    split-nibble SIMD speedup on record) and encode throughput at
+//    k̂ = 128 in both fields (encode_k128 / gf256_encode_k128: symbols
+//    through SymbolEncoder::next_symbol). The JSON records the active
 //    GF(2) and GF(256) kernels and CPU features; a guard run whose
 //    active kernels differ from the baseline's skips (exit 0) rather
 //    than compare across unlike machines, and a full guard run fails if
@@ -510,6 +512,36 @@ CaseResult run_mul_region_case(const std::string& name,
   return result;
 }
 
+/// Encode throughput at one k̂: symbols through SymbolEncoder::next_symbol,
+/// each payload handed back to the pool as the simulator's receiver does,
+/// so the loop measures coefficient expansion and the encode kernels.
+CaseResult run_encode_case(const std::string& name, CodingField field,
+                           std::uint32_t k, std::size_t symbol_bytes) {
+  SymbolEncoder encoder(field, 1, make_deterministic_block(1, k, symbol_bytes),
+                        Rng(7), /*systematic=*/false, &bench_pool());
+  constexpr int kBatch = 256;
+  std::uint64_t symbols = 0;
+  const auto start = std::chrono::steady_clock::now();
+  double elapsed = 0.0;
+  do {
+    for (int i = 0; i < kBatch; ++i) {
+      net::EncodedSymbol symbol = encoder.next_symbol();
+      benchmark::DoNotOptimize(symbol.data.data());
+      bench_pool().release(std::move(symbol.data));
+    }
+    symbols += kBatch;
+    elapsed = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+  } while (elapsed < kMinSeconds);
+  CaseResult result;
+  result.name = name;
+  result.mbytes_per_sec =
+      static_cast<double>(symbols) * symbol_bytes / elapsed / 1e6;
+  result.symbols_per_sec = static_cast<double>(symbols) / elapsed;
+  return result;
+}
+
 /// Best-of-N repetitions of `fn`, so a background burst on this
 /// (single-core) box degrades one repetition, not the result.
 template <typename Fn>
@@ -610,6 +642,20 @@ std::vector<CaseResult> run_harness() {
       std::printf("  %-26s %8.1f MB/s\n", name.c_str(), r.mbytes_per_sec);
       results.push_back(r);
     }
+  }
+
+  // Encode throughput at the default cell's k̂ = 128, both fields.
+  for (const CodingField field : {CodingField::kGf2, CodingField::kGf256}) {
+    const std::string name = field == CodingField::kGf2
+                                 ? "encode_k128"
+                                 : "gf256_encode_k128";
+    if (!case_enabled(name)) continue;
+    const CaseResult r = best_of(5, [&] {
+      return run_encode_case(name, field, 128, g_symbol_bytes);
+    });
+    std::printf("  %-26s %8.1f MB/s   %10.0f symbols/s\n", name.c_str(),
+                r.mbytes_per_sec, r.symbols_per_sec);
+    results.push_back(r);
   }
 
   // Raw gf256 multiply-kernel throughput, dispatched vs forced-scalar:
@@ -830,7 +876,7 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--merge-min") == 0) merge_min = true;
     }
-    std::printf("decode throughput (%zu-byte symbols, %s kernel, cpu %s):\n",
+    std::printf("codec throughput (%zu-byte symbols, %s kernel, cpu %s):\n",
                 g_symbol_bytes, fmtcp::fountain::gf2_kernel().name,
                 fmtcp::cpu_features_string().c_str());
     write_json(*json_path, run_harness(), merge_min);

@@ -8,6 +8,7 @@
 // stream across standard-library implementations.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 namespace fmtcp {
@@ -21,8 +22,19 @@ class Rng {
   /// Seeds the full 256-bit state from `seed` via SplitMix64.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Next raw 64-bit output.
-  std::uint64_t next_u64();
+  /// Next raw 64-bit output. Inline: block content and coefficient
+  /// vectors draw one output per 8 bytes or 64 bits.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double next_double();

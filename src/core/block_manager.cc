@@ -33,7 +33,7 @@ SenderBlock::SenderBlock(net::BlockId block_id, const FmtcpParams& params,
 
 std::uint32_t SenderBlock::total_in_flight() const {
   std::uint32_t total = 0;
-  for (const auto& [subflow, count] : in_flight) total += count;
+  for (const std::uint32_t count : in_flight) total += count;
   return total;
 }
 
@@ -90,20 +90,13 @@ SenderBlock& BlockManager::ensure_block(net::BlockId id) {
   return blocks_.back();
 }
 
-double BlockManager::k_tilde(
-    const SenderBlock& block,
-    const std::function<double(std::uint32_t)>& loss_of) const {
-  double estimate = static_cast<double>(block.k_bar);
-  for (const auto& [subflow, count] : block.in_flight) {
-    estimate += static_cast<double>(count) * (1.0 - loss_of(subflow));
-  }
-  return estimate;
-}
-
 void BlockManager::on_symbols_sent(net::BlockId id, std::uint32_t subflow,
                                    std::uint32_t count) {
   SenderBlock* block = find(id);
   FMTCP_CHECK(block != nullptr);
+  if (block->in_flight.size() <= subflow) {
+    block->in_flight.resize(subflow + 1, 0);
+  }
   block->in_flight[subflow] += count;
   block->symbols_sent += count;
   symbols_sent_ += count;
@@ -116,9 +109,9 @@ void BlockManager::on_symbols_acked(net::BlockId id, std::uint32_t subflow,
                                     std::uint32_t count) {
   SenderBlock* block = find(id);
   if (block == nullptr) return;  // Block already closed; stale echo.
-  auto it = block->in_flight.find(subflow);
-  if (it == block->in_flight.end()) return;
-  it->second = it->second > count ? it->second - count : 0;
+  if (subflow >= block->in_flight.size()) return;
+  std::uint32_t& flight = block->in_flight[subflow];
+  flight = flight > count ? flight - count : 0;
 }
 
 void BlockManager::on_symbols_lost(net::BlockId id, std::uint32_t subflow,

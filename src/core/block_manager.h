@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -30,8 +29,9 @@ struct SenderBlock {
   std::uint32_t k_hat = 0;
   std::uint32_t k_bar = 0;  ///< Receiver-confirmed independent symbols.
   bool decoded = false;     ///< Receiver confirmed full decode.
-  /// l_b^f: symbols of this block inside subflow f's window.
-  std::map<std::uint32_t, std::uint32_t> in_flight;
+  /// l_b^f: symbols of this block inside subflow f's window, indexed by
+  /// subflow id (grown on the first send from a subflow).
+  std::vector<std::uint32_t> in_flight;
   std::uint64_t symbols_sent = 0;
   SimTime first_symbol_sent = kNever;
   fountain::SymbolEncoder encoder;  ///< Field per params.coding_field.
@@ -79,9 +79,19 @@ class BlockManager {
   /// the next unopened id when creating. Respects can_open().
   SenderBlock& ensure_block(net::BlockId id);
 
-  /// k̃_b (Eq. 8): k̄_b + Σ_f l_b^f (1 - p_f). `loss_of(f)` supplies p_f.
-  double k_tilde(const SenderBlock& block,
-                 const std::function<double(std::uint32_t)>& loss_of) const;
+  /// k̃_b (Eq. 8): k̄_b + Σ_f l_b^f (1 - p_f), summed in ascending
+  /// subflow order. `loss_of(f)` supplies p_f; it is not called for
+  /// subflows with nothing in flight, whose term is zero.
+  template <typename LossOf>
+  double k_tilde(const SenderBlock& block, const LossOf& loss_of) const {
+    double estimate = static_cast<double>(block.k_bar);
+    for (std::uint32_t f = 0; f < block.in_flight.size(); ++f) {
+      const std::uint32_t count = block.in_flight[f];
+      if (count == 0) continue;
+      estimate += static_cast<double>(count) * (1.0 - loss_of(f));
+    }
+    return estimate;
+  }
 
   // --- Event handlers -----------------------------------------------
 

@@ -82,6 +82,7 @@ void FmtcpReceiver::on_segment(std::uint32_t subflow, net::Packet& p) {
       note_redundant(subflow, symbol.block, decoder.rank());
       continue;
     }
+    ++buffered_rows_;
     if (obs_ != nullptr) {
       obs_->timeline.emit({obs::EventType::kRankProgress, subflow,
                            simulator_.now(), symbol.block,
@@ -93,11 +94,10 @@ void FmtcpReceiver::on_segment(std::uint32_t subflow, net::Packet& p) {
         decoded_data_.emplace(symbol.block, decoder.decode(decode_scratch_));
       } else {
         // No application sink: verify against the deterministic content.
-        const fountain::BlockData& decoded = decoder.decode(decode_scratch_);
-        const fountain::BlockData expected =
-            fountain::make_deterministic_block(
-                symbol.block, symbol.block_symbols, params_.symbol_bytes);
-        if (decoded.bytes() != expected.bytes()) payload_ok_ = false;
+        if (!fountain::matches_deterministic_block(
+                symbol.block, decoder.decode(decode_scratch_))) {
+          payload_ok_ = false;
+        }
       }
       decoded_waiting_.insert(symbol.block);
       recently_decoded_.push_front(symbol.block);
@@ -112,6 +112,7 @@ void FmtcpReceiver::on_segment(std::uint32_t subflow, net::Packet& p) {
              static_cast<double>(decoder.redundant_count())});
       }
       note_coding_cost(decoder);
+      buffered_rows_ -= decoder.rank();
       decoders_.erase(it);
       deliver_ready_blocks();
     }
@@ -142,11 +143,11 @@ void FmtcpReceiver::deliver_ready_blocks() {
 }
 
 void FmtcpReceiver::note_buffer_occupancy() {
-  std::size_t occupancy =
-      decoded_waiting_.size() * params_.block_bytes();
-  for (const auto& [id, decoder] : decoders_) {
-    occupancy += decoder.buffered_bytes();
-  }
+  // Every decoder still open is undecoded and holds one symbol row per
+  // unit of rank.
+  const std::size_t occupancy =
+      decoded_waiting_.size() * params_.block_bytes() +
+      buffered_rows_ * params_.symbol_bytes;
   max_buffered_ = std::max(max_buffered_, occupancy);
 }
 
@@ -166,15 +167,20 @@ net::BlockAck FmtcpReceiver::make_block_ack(net::BlockId id) const {
 void FmtcpReceiver::fill_ack(std::uint32_t /*subflow*/,
                              const net::Packet& data, net::Packet& ack,
                              std::size_t& /*extra_bytes*/) {
-  std::set<net::BlockId> mentioned;
+  std::vector<net::BlockId>& mentioned = ack_blocks_;
+  mentioned.clear();
   // Blocks whose symbols rode this data packet.
   for (const net::EncodedSymbol& symbol : data.symbols) {
-    mentioned.insert(symbol.block);
+    mentioned.push_back(symbol.block);
   }
   // The first block still being decoded (drives R2 at the sender).
-  if (!decoders_.empty()) mentioned.insert(decoders_.begin()->first);
+  if (!decoders_.empty()) mentioned.push_back(decoders_.begin()->first);
   // Recently decoded blocks, so a lost decode notification heals.
-  for (net::BlockId id : recently_decoded_) mentioned.insert(id);
+  for (net::BlockId id : recently_decoded_) mentioned.push_back(id);
+  // One ack per block, in id order.
+  std::sort(mentioned.begin(), mentioned.end());
+  mentioned.erase(std::unique(mentioned.begin(), mentioned.end()),
+                  mentioned.end());
 
   ack.block_acks.reserve(mentioned.size());
   for (net::BlockId id : mentioned) {

@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "core/block_source.h"
 #include "core/params.h"
@@ -84,6 +85,10 @@ class FmtcpReceiver final : public tcp::DataSink {
   std::map<net::BlockId, fountain::BlockData> decoded_data_;
   std::deque<net::BlockId> recently_decoded_;
   net::BlockId deliver_next_ = 0;
+  /// Symbol rows held by the open decoders (the sum of their ranks).
+  std::size_t buffered_rows_ = 0;
+  /// fill_ack's block list, reused across ACKs.
+  std::vector<net::BlockId> ack_blocks_;
 
   std::uint64_t blocks_delivered_ = 0;
   std::uint64_t redundant_symbols_ = 0;

@@ -1,7 +1,6 @@
 #include "core/sender.h"
 
 #include <cmath>
-#include <map>
 
 #include "common/check.h"
 
@@ -47,13 +46,12 @@ double FmtcpSender::loss_of(std::uint32_t subflow) const {
   return subflows_[subflow]->loss_estimate();
 }
 
-std::vector<SubflowSnapshot> FmtcpSender::subflow_snapshots() const {
-  std::vector<SubflowSnapshot> snaps;
-  snaps.reserve(subflows_.size());
+void FmtcpSender::subflow_snapshots(
+    std::vector<SubflowSnapshot>& out) const {
+  out.clear();
   for (const tcp::Subflow* subflow : subflows_) {
-    snaps.push_back(snapshot_subflow(*subflow));
+    out.push_back(snapshot_subflow(*subflow));
   }
-  return snaps;
 }
 
 std::optional<net::BlockId> FmtcpSender::block_at(std::size_t index) const {
@@ -88,6 +86,7 @@ tcp::SegmentContent FmtcpSender::materialize(const PacketPlan& plan,
                                              std::uint32_t subflow) {
   tcp::SegmentContent content;
   content.payload_bytes = plan.payload_bytes;
+  content.symbols.reserve(plan.total_symbols());
   for (const PacketPlan::Entry& entry : plan.entries) {
     SenderBlock& block = blocks_.ensure_block(entry.block);
     for (std::uint32_t j = 0; j < entry.symbols; ++j) {
@@ -100,8 +99,8 @@ tcp::SegmentContent FmtcpSender::materialize(const PacketPlan& plan,
 
 std::optional<tcp::SegmentContent> FmtcpSender::next_segment(
     std::uint32_t subflow) {
-  const std::optional<PacketPlan> plan = allocator_.allocate(subflow);
-  if (!plan.has_value()) return std::nullopt;
+  const PacketPlan* plan = allocator_.allocate(subflow);
+  if (plan == nullptr) return std::nullopt;
   tcp::SegmentContent content = materialize(*plan, subflow);
   if (obs_ != nullptr) {
     obs_allocations_.inc();
@@ -131,16 +130,19 @@ std::optional<tcp::SegmentContent> FmtcpSender::retransmit_segment(
 
 void FmtcpSender::account_symbols(const tcp::SegmentContent& content,
                                   std::uint32_t subflow, bool acked) {
-  std::map<net::BlockId, std::uint32_t> per_block;
-  for (const net::EncodedSymbol& symbol : content.symbols) {
-    ++per_block[symbol.block];
-  }
-  for (const auto& [block, count] : per_block) {
+  // materialize() writes each block's symbols as one contiguous run.
+  const std::vector<net::EncodedSymbol>& symbols = content.symbols;
+  for (std::size_t i = 0; i < symbols.size();) {
+    const net::BlockId block = symbols[i].block;
+    std::size_t end = i + 1;
+    while (end < symbols.size() && symbols[end].block == block) ++end;
+    const auto count = static_cast<std::uint32_t>(end - i);
     if (acked) {
       blocks_.on_symbols_acked(block, subflow, count);
     } else {
       blocks_.on_symbols_lost(block, subflow, count);
     }
+    i = end;
   }
 }
 

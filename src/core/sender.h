@@ -55,7 +55,7 @@ class FmtcpSender final : public tcp::SegmentProvider, public AllocatorEnv {
   void on_ack_info(std::uint32_t subflow, const net::Packet& ack) override;
 
   // --- AllocatorEnv ----------------------------------------------------
-  std::vector<SubflowSnapshot> subflow_snapshots() const override;
+  void subflow_snapshots(std::vector<SubflowSnapshot>& out) const override;
   std::optional<net::BlockId> block_at(std::size_t index) const override;
   std::uint32_t block_k_hat(net::BlockId block) const override;
   double real_k_tilde(net::BlockId block) const override;

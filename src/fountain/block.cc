@@ -1,5 +1,7 @@
 #include "fountain/block.h"
 
+#include <cstring>
+
 #include "common/check.h"
 
 namespace fmtcp::fountain {
@@ -27,16 +29,50 @@ AlignedBytes BlockData::symbol_copy(std::uint32_t i) const {
   return AlignedBytes(p, p + symbol_bytes_);
 }
 
+namespace {
+
+/// The generator of block `block_id`'s content, drawn once per 8 bytes.
+Rng content_rng(std::uint64_t block_id) {
+  // Seed mixed with a constant so block 0 is not the RNG's default stream.
+  return Rng(block_id * 0x9e3779b97f4a7c15ULL + 0x51ed2701);
+}
+
+}  // namespace
+
 BlockData make_deterministic_block(std::uint64_t block_id,
                                    std::uint32_t symbols,
                                    std::size_t symbol_bytes) {
   BlockData block(symbols, symbol_bytes);
-  // Seed mixed with a constant so block 0 is not the RNG's default stream.
-  Rng rng(block_id * 0x9e3779b97f4a7c15ULL + 0x51ed2701);
-  for (auto& byte : block.bytes()) {
-    byte = static_cast<std::uint8_t>(rng.next_u64());
+  Rng rng = content_rng(block_id);
+  std::uint8_t* out = block.bytes().data();
+  const std::size_t n = block.total_bytes();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t word = rng.next_u64();
+    std::memcpy(out + i, &word, 8);
+  }
+  if (i < n) {
+    const std::uint64_t word = rng.next_u64();
+    std::memcpy(out + i, &word, n - i);
   }
   return block;
+}
+
+bool matches_deterministic_block(std::uint64_t block_id,
+                                 const BlockData& block) {
+  Rng rng = content_rng(block_id);
+  const std::uint8_t* in = block.bytes().data();
+  const std::size_t n = block.total_bytes();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t word = rng.next_u64();
+    if (std::memcmp(in + i, &word, 8) != 0) return false;
+  }
+  if (i < n) {
+    const std::uint64_t word = rng.next_u64();
+    if (std::memcmp(in + i, &word, n - i) != 0) return false;
+  }
+  return true;
 }
 
 }  // namespace fmtcp::fountain

@@ -42,11 +42,18 @@ class BlockData {
   AlignedBytes bytes_;
 };
 
-/// Deterministic pseudo-random block content derived from `block_id`.
-/// Sender and verifying receiver can regenerate the same bytes, giving
-/// end-to-end integrity checking without storing the whole stream.
+/// Deterministic pseudo-random block content derived from `block_id`:
+/// eight bytes per RNG draw (little-endian), the tail from one more
+/// draw. Sender and verifying receiver can regenerate the same bytes,
+/// giving end-to-end integrity checking without storing the whole stream.
 BlockData make_deterministic_block(std::uint64_t block_id,
                                    std::uint32_t symbols,
                                    std::size_t symbol_bytes);
+
+/// True if `block` holds exactly make_deterministic_block(block_id, ...)'s
+/// bytes for its shape. Compares against the generator directly, so no
+/// second block is built.
+bool matches_deterministic_block(std::uint64_t block_id,
+                                 const BlockData& block);
 
 }  // namespace fmtcp::fountain

@@ -96,10 +96,6 @@ std::uint64_t SymbolDecoder::redundant_count() const {
   return std::visit([](const auto& d) { return d.redundant_count(); }, impl_);
 }
 
-std::size_t SymbolDecoder::buffered_bytes() const {
-  return std::visit([](const auto& d) { return d.buffered_bytes(); }, impl_);
-}
-
 const BlockData& SymbolDecoder::decode(DecodeScratch& scratch) {
   if (auto* gf2 = std::get_if<BlockDecoder>(&impl_)) {
     return gf2->decode(scratch);

@@ -76,7 +76,6 @@ class SymbolDecoder {
   std::size_t symbol_bytes() const;
   std::uint64_t received_count() const;
   std::uint64_t redundant_count() const;
-  std::size_t buffered_bytes() const;
 
   /// Recovers the original block (complete() required).
   /// `scratch` amortises GF(2) decode tables across blocks; the GF(256)

@@ -123,20 +123,6 @@ class BitVector {
     return total;
   }
 
-  /// Calls fn(bit_index) for each set bit in ascending order, iterating
-  /// set words + countr_zero rather than probing every bit.
-  template <typename Fn>
-  void for_each_set_bit(Fn&& fn) const {
-    const std::uint64_t* w = words();
-    for (std::size_t i = 0; i < nwords_; ++i) {
-      std::uint64_t word = w[i];
-      while (word != 0) {
-        fn(i * 64 + static_cast<std::size_t>(std::countr_zero(word)));
-        word &= word - 1;
-      }
-    }
-  }
-
   bool operator==(const BitVector& other) const {
     if (bits_ != other.bits_) return false;
     const std::uint64_t* a = words();

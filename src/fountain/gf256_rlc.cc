@@ -143,12 +143,6 @@ bool Gf256RlcDecoder::add_symbol(const net::EncodedSymbol& symbol) {
   return add_symbol(std::move(copy));
 }
 
-std::size_t Gf256RlcDecoder::buffered_bytes() const {
-  std::size_t total = 0;
-  for (const AlignedBytes& s : stored_) total += s.size();
-  return total;
-}
-
 const BlockData& Gf256RlcDecoder::decode() {
   if (decoded_.has_value()) return *decoded_;
   FMTCP_CHECK(complete());

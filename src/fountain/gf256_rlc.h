@@ -86,9 +86,6 @@ class Gf256RlcDecoder {
   /// Symbols dropped as linearly dependent.
   std::uint64_t redundant_count() const { return redundant_; }
 
-  /// Receive-buffer bytes this block currently pins (stored symbol rows).
-  std::size_t buffered_bytes() const;
-
   /// Recovers the original block. Requires complete().
   /// Idempotent; the first call performs back-substitution and the
   /// deferred payload multiplies.

@@ -29,8 +29,9 @@ void coefficients_from_seed_into(std::uint64_t seed, std::uint32_t k,
 AlignedBytes encode_with_coefficients(const BlockData& block,
                                       const BitVector& coeffs);
 
-/// As above, but writes into `out` (resized and zeroed) so a recycled
-/// buffer's capacity is reused instead of allocating a fresh vector.
+/// As above, but writes into `out` (resized to the symbol size) so a
+/// recycled buffer's storage is reused instead of allocating a fresh
+/// vector.
 void encode_with_coefficients_into(const BlockData& block,
                                    const BitVector& coeffs,
                                    AlignedBytes& out);

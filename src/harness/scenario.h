@@ -80,8 +80,9 @@ struct ProtocolOptions {
   bool delayed_acks = false;
   SimTime goodput_bin = kSecond;
 
-  /// Defaults: 64×160 B blocks, 7 symbols/packet (1204 B payload), MPTCP
-  /// segments of the same wire size.
+  /// Defaults: 128×160 B blocks (k̂ = 128), δ̂ = 0.01, 64 pending
+  /// blocks, 7 symbols/packet (1204 B payload), MPTCP segments of the
+  /// same wire size.
   static ProtocolOptions defaults();
 };
 

@@ -52,6 +52,19 @@ TEST(FmtcpIntegration, FiniteTransferCompletesAndVerifies) {
   EXPECT_EQ(run.connection.sender().blocks().blocks_completed(), 50u);
 }
 
+TEST(FmtcpIntegration, OddSymbolSizeVerifies) {
+  // 13 x 157-byte symbols: every block's 2041 bytes end in a partial
+  // 8-byte draw, at both the sender and the verifying receiver.
+  FmtcpConnectionConfig config = test_config(/*total_blocks=*/30);
+  config.params.block_symbols = 13;
+  config.params.symbol_bytes = 157;
+  config.subflow.mss_payload = 7 * config.params.symbol_wire_bytes();
+  TestRun run(5, config, 0.1);
+  run.sim.run_until(60 * kSecond);
+  EXPECT_EQ(run.connection.receiver().blocks_delivered(), 30u);
+  EXPECT_TRUE(run.connection.receiver().payload_verified());
+}
+
 TEST(FmtcpIntegration, BlocksDeliverInOrder) {
   TestRun run(2, test_config(30), 0.1);
   run.sim.run_until(60 * kSecond);

@@ -38,6 +38,29 @@ TEST(DeterministicBlock, DifferentIdsDiffer) {
   EXPECT_NE(a.bytes(), b.bytes());
 }
 
+TEST(DeterministicBlock, TailBytesDeterministicPerIdAndDistinctAcrossIds) {
+  // 3 x 5 B = 15 bytes: one full 8-byte draw and a 7-byte tail.
+  const BlockData a = make_deterministic_block(11, 3, 5);
+  const BlockData b = make_deterministic_block(11, 3, 5);
+  const BlockData c = make_deterministic_block(12, 3, 5);
+  EXPECT_EQ(a.bytes(), b.bytes());
+  EXPECT_NE(a.bytes(), c.bytes());
+  // The tails differ too, not only the full word.
+  EXPECT_NE(AlignedBytes(a.bytes().begin() + 8, a.bytes().end()),
+            AlignedBytes(c.bytes().begin() + 8, c.bytes().end()));
+}
+
+TEST(DeterministicBlock, MatchesComparesAgainstTheGenerator) {
+  for (const std::size_t symbol_bytes : {1, 5, 8, 157, 160}) {
+    BlockData block = make_deterministic_block(4, 3, symbol_bytes);
+    EXPECT_TRUE(matches_deterministic_block(4, block));
+    EXPECT_FALSE(matches_deterministic_block(5, block));
+    // A flipped bit in the last (tail) byte is caught.
+    block.bytes().back() ^= 0x80;
+    EXPECT_FALSE(matches_deterministic_block(4, block));
+  }
+}
+
 TEST(DeterministicBlock, BlockZeroIsNotAllZero) {
   const BlockData block = make_deterministic_block(0, 4, 32);
   bool nonzero = false;

@@ -134,15 +134,6 @@ TEST(BitVector, RandomIntoMatchesRandom) {
   }
 }
 
-TEST(BitVector, ForEachSetBitVisitsAscending) {
-  BitVector v(140);
-  const std::vector<std::size_t> want{0, 5, 63, 64, 100, 139};
-  for (std::size_t i : want) v.set(i, true);
-  std::vector<std::size_t> got;
-  v.for_each_set_bit([&](std::size_t i) { got.push_back(i); });
-  EXPECT_EQ(got, want);
-}
-
 TEST(BitVector, WordDataExposesPacking) {
   BitVector v(70);
   v.set(1, true);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "fountain/codec.h"
+#include "fountain/gf2_kernels.h"
 
 namespace fmtcp::fountain {
 namespace {
@@ -48,6 +51,61 @@ TEST(Encode, SingleCoefficientCopiesSymbol) {
   BitVector coeffs(4);
   coeffs.set(2, true);
   EXPECT_EQ(encode_with_coefficients(block, coeffs), block.symbol_copy(2));
+}
+
+/// Per-bit reference for Eq. 1: XOR of every selected source symbol,
+/// one coefficient bit and one byte at a time.
+AlignedBytes reference_encode(const BlockData& block,
+                              const BitVector& coeffs) {
+  AlignedBytes out(block.symbol_bytes(), 0);
+  for (std::uint32_t i = 0; i < block.symbols(); ++i) {
+    if (!coeffs.get(i)) continue;
+    for (std::size_t b = 0; b < out.size(); ++b) out[b] ^= block.symbol(i)[b];
+  }
+  return out;
+}
+
+TEST(Encode, MatchesPerBitReferenceUnderEveryKernel) {
+  const std::string saved = gf2_kernel().name;
+  Rng rng(77);
+  for (const Gf2KernelOps* ops : gf2_available_kernels()) {
+    ASSERT_TRUE(gf2_set_kernel(ops->name));
+    for (std::uint32_t k : {1u, 2u, 63u, 64u, 65u, 128u, 129u, 256u, 300u,
+                            513u}) {
+      for (std::size_t symbol_bytes : {1, 7, 8, 160, 161, 1400}) {
+        const BlockData block =
+            make_deterministic_block(k + symbol_bytes, k, symbol_bytes);
+        // 1, 2, 3 and all k bits set, at random positions.
+        for (std::uint32_t set : {1u, 2u, 3u, k}) {
+          BitVector coeffs(k);
+          std::uint32_t placed = 0;
+          while (placed < std::min(set, k)) {
+            const auto i = static_cast<std::size_t>(rng.next_below(k));
+            if (coeffs.get(i)) continue;
+            coeffs.set(i, true);
+            ++placed;
+          }
+          SCOPED_TRACE(::testing::Message()
+                       << ops->name << " k=" << k << " bytes="
+                       << symbol_bytes << " bits=" << coeffs.popcount());
+          const AlignedBytes want = reference_encode(block, coeffs);
+          EXPECT_EQ(encode_with_coefficients(block, coeffs), want);
+          // A recycled buffer of the right size and stale contents.
+          AlignedBytes recycled(symbol_bytes, 0xa5);
+          encode_with_coefficients_into(block, coeffs, recycled);
+          EXPECT_EQ(recycled, want);
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(gf2_set_kernel(saved.c_str()));
+}
+
+TEST(Encode, ZeroCoefficientsGiveZeroSymbol) {
+  const BlockData block = make_deterministic_block(5, 70, 9);
+  AlignedBytes out(9, 0xff);
+  encode_with_coefficients_into(block, BitVector(70), out);
+  EXPECT_EQ(out, AlignedBytes(9, 0));
 }
 
 TEST(FailureProbability, PaperEquationTwo) {

@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
       flags.get_double("bandwidth_mbps", 5.0, "per-path rate (Mb/s)");
   scenario.bandwidth_Bps = bandwidth_mbps * 1e6 / 8.0;
   const std::int64_t queue_packets =
-      flags.get_int("queue", 100, "drop-tail queue (packets)");
+      flags.get_int("queue", 100, "drop-tail queue (packets, 0 = unlimited)");
   scenario.queue_packets = static_cast<std::size_t>(queue_packets);
   const double duration_s =
       flags.get_double("duration", 60.0, "simulated seconds");
