@@ -79,6 +79,7 @@ std::optional<tcp::SegmentContent> FixedRateSender::next_segment(
 
   tcp::SegmentContent content;
   content.payload_bytes = count * wire;
+  content.symbols.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     net::EncodedSymbol symbol;
     symbol.block = block->id;
@@ -199,13 +200,19 @@ void FixedRateReceiver::deliver_ready() {
 void FixedRateReceiver::fill_ack(std::uint32_t /*subflow*/,
                                  const net::Packet& data, net::Packet& ack,
                                  std::size_t& /*extra_bytes*/) {
-  std::set<net::BlockId> mentioned;
+  std::vector<net::BlockId>& mentioned = ack_blocks_;
+  mentioned.clear();
   for (const net::EncodedSymbol& symbol : data.symbols) {
-    mentioned.insert(symbol.block);
+    mentioned.push_back(symbol.block);
   }
-  if (!received_.empty()) mentioned.insert(received_.begin()->first);
-  for (net::BlockId id : recently_decoded_) mentioned.insert(id);
+  if (!received_.empty()) mentioned.push_back(received_.begin()->first);
+  for (net::BlockId id : recently_decoded_) mentioned.push_back(id);
+  // One ack per block, in id order.
+  std::sort(mentioned.begin(), mentioned.end());
+  mentioned.erase(std::unique(mentioned.begin(), mentioned.end()),
+                  mentioned.end());
 
+  ack.block_acks.reserve(mentioned.size());
   for (net::BlockId id : mentioned) {
     net::BlockAck block_ack;
     block_ack.block = id;

@@ -120,6 +120,8 @@ class FixedRateReceiver final : public tcp::DataSink {
   std::set<net::BlockId> decoded_waiting_;
   std::deque<net::BlockId> recently_decoded_;
   net::BlockId deliver_next_ = 0;
+  /// fill_ack's block list, reused across ACKs.
+  std::vector<net::BlockId> ack_blocks_;
   std::uint64_t blocks_delivered_ = 0;
   std::uint64_t redundant_ = 0;
 };

@@ -88,8 +88,11 @@ bool Gf256RlcDecoder::add_symbol(const std::uint8_t* coeffs,
   const Gf256KernelOps& ops = gf256_kernel();
   // Forward elimination with partial pivoting: scan for the first
   // nonzero coefficient; eliminate while that column already has a
-  // pivot. Pivot row p has coeffs[<p] zero, so one fused mul_region over
-  // the record suffix [p, stride) handles coefficients and composition.
+  // pivot. One fused mul_region over the record suffix handles
+  // coefficients and composition. It starts at line_start(p), not at p:
+  // rec[<p] and pivot row p's coeffs[<p] are both zero, so the extra
+  // bytes XOR c·0, and each op reloads exactly the lines the previous
+  // one stored (store-to-load forwarding; see the header).
   std::uint32_t p = 0;
   while (p < k) {
     if (rec[p] == 0) {
@@ -98,7 +101,8 @@ bool Gf256RlcDecoder::add_symbol(const std::uint8_t* coeffs,
     }
     if (!has_pivot(p)) break;
     const std::uint8_t factor = rec[p];  // Pivot coefficient is 1.
-    ops.mul_region(rec + p, row(p) + p, factor, stride_ - p);
+    const std::size_t from = line_start(p);
+    ops.mul_region(rec + from, row(p) + from, factor, stride_ - from);
     coeff_bytes_eliminated_ += stride_ - p;
     // rec[p] is now zero by construction; continue at the next column.
     ++p;
@@ -109,9 +113,11 @@ bool Gf256RlcDecoder::add_symbol(const std::uint8_t* coeffs,
     return false;
   }
   // Innovative: normalise so the pivot coefficient is 1 (bytes before p
-  // are zero already), then the row enters the arena at p.
+  // are zero already, so the scale starts on the same line boundary),
+  // then the row enters the arena at p.
   const std::uint8_t inv = gf256_inv(rec[p]);
-  ops.scale_region(rec + p, inv, stride_ - p);
+  const std::size_t from = line_start(p);
+  ops.scale_region(rec + from, inv, stride_ - from);
   coeff_bytes_eliminated_ += stride_ - p;
   std::memcpy(row(p), rec, stride_);
   present_[p >> 6] |= 1ULL << (p & 63);
@@ -149,17 +155,19 @@ const BlockData& Gf256RlcDecoder::decode() {
   FMTCP_SPAN("gf256.decode");
   const std::uint32_t k = symbols_;
   const Gf256KernelOps& ops = gf256_kernel();
-  // Back-substitution on the fused records, descending. Row p is final
-  // (coeffs = unit vector) once every row above has eliminated column p;
-  // the same fused suffix op as the online phase clears row q's
-  // coefficient p and folds row p's composition in.
+  // Back-substitution on the fused records, descending. At step p row
+  // p's coefficients are the unit vector e_p and row q's are clear above
+  // column p, so folding row p into row q zeroes rq[p] and touches only
+  // the k composition bytes. The counter keeps the logical suffix
+  // length [p, stride).
   for (std::uint32_t p = k; p-- > 0;) {
-    const std::uint8_t* rp = row(p);
+    const std::uint8_t* comp_p = row(p) + k;
     for (std::uint32_t q = 0; q < p; ++q) {
       std::uint8_t* rq = row(q);
       const std::uint8_t c = rq[p];
       if (c == 0) continue;
-      ops.mul_region(rq + p, rp + p, c, stride_ - p);
+      rq[p] = 0;
+      ops.mul_region(rq + k, comp_p, c, k);
       coeff_bytes_eliminated_ += stride_ - p;
     }
   }

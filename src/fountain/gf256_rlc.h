@@ -22,6 +22,18 @@
 // coefficient of a reduced row picks its pivot column, and the row is
 // normalised (pivot coefficient 1) on storage, so eliminating against a
 // pivot is a single fused mul_region over the record suffix.
+//
+// The invariant that pivot row p is zero below column p is
+// load-bearing, not just bookkeeping: the online ops start at the
+// 64-byte line holding column p rather than at p (the bytes in between
+// are zero in both operands), so consecutive ops on the incoming record
+// reload exactly the lines the previous op stored; and back-substitution
+// multiplies only the composition half, since when row p is folded into
+// row q, row p's coefficients are the unit vector e_p and row q's are
+// already clear above column p, so the only coefficient byte the op
+// would change is row q's coefficient p, which it simply zeroes.
+// coeff_bytes_eliminated() counts the logical suffix [p, 2k̂) per op
+// either way.
 #pragma once
 
 #include <cstddef>
@@ -112,6 +124,11 @@ class Gf256RlcDecoder {
   bool has_pivot(std::size_t p) const {
     return ((present_[p >> 6] >> (p & 63)) & 1ULL) != 0;
   }
+  /// Offset of the 64-byte line of the (aligned) incoming record that
+  /// holds column p: where the online ops on pivot p start.
+  static std::size_t line_start(std::size_t p) {
+    return p & ~(kBufferAlignment - 1);
+  }
 
   std::uint32_t symbols_;
   std::size_t symbol_bytes_;
@@ -124,11 +141,13 @@ class Gf256RlcDecoder {
   std::uint64_t rows_composed_ = 0;
   std::size_t stride_;  ///< Record bytes: 2k̂.
   /// Flat fused row arena: record p = [coeffs | composition] at
-  /// p·stride_. Pivot row p has coeffs[<p] zero and coeffs[p] == 1;
-  /// absent rows zero.
+  /// p·stride_. Pivot row p has coeffs[<p] zero and coeffs[p] == 1
+  /// (line_start relies on the zeros); absent rows zero.
   AlignedBytes rows_;
   std::vector<std::uint64_t> present_;  ///< Pivot-present bitmap.
-  AlignedBytes scratch_record_;         ///< Incoming record being reduced.
+  /// Incoming record being reduced; 64-byte aligned, so line_start(p)
+  /// offsets land on cache-line boundaries.
+  AlignedBytes scratch_record_;
   /// Raw payloads of stored (innovative) symbols, in arrival order; slot
   /// j is what composition byte j refers to.
   std::vector<AlignedBytes> stored_;

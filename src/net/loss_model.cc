@@ -5,7 +5,7 @@
 namespace fmtcp::net {
 
 BernoulliLoss::BernoulliLoss(double p) : p_(p) {
-  FMTCP_CHECK(p >= 0.0 && p < 1.0);
+  FMTCP_CHECK(p >= 0.0 && p <= 1.0);
 }
 
 bool BernoulliLoss::should_drop(SimTime, Rng& rng) {
@@ -20,7 +20,7 @@ TimeVaryingLoss::TimeVaryingLoss(std::vector<Step> steps)
     FMTCP_CHECK(steps_[i].start > steps_[i - 1].start);
   }
   for (const Step& s : steps_) {
-    FMTCP_CHECK(s.rate >= 0.0 && s.rate < 1.0);
+    FMTCP_CHECK(s.rate >= 0.0 && s.rate <= 1.0);
   }
 }
 

@@ -33,7 +33,8 @@ class NoLoss final : public LossModel {
   double current_rate(SimTime) const override { return 0.0; }
 };
 
-/// Independent drops with fixed probability p.
+/// Independent drops with fixed probability p in [0, 1]; p = 1 is a
+/// dead path (every packet lost).
 class BernoulliLoss final : public LossModel {
  public:
   explicit BernoulliLoss(double p);
@@ -53,7 +54,8 @@ class TimeVaryingLoss final : public LossModel {
     double rate;
   };
 
-  /// `steps` must be non-empty, sorted by start, first start == 0.
+  /// `steps` must be non-empty, sorted by start, first start == 0; each
+  /// rate is in [0, 1] (1 kills the path for that step).
   explicit TimeVaryingLoss(std::vector<Step> steps);
 
   bool should_drop(SimTime now, Rng& rng) override;

@@ -76,7 +76,7 @@ SimTime Subflow::srtt() const {
 }
 
 void Subflow::set_loss_hint(double p) {
-  FMTCP_CHECK(p >= 0.0 && p < 1.0);
+  FMTCP_CHECK(p >= 0.0 && p <= 1.0);
   loss_est_ = p;
 }
 

@@ -164,7 +164,8 @@ class Subflow {
   double loss_estimate() const { return loss_est_; }
 
   /// Seeds the loss estimate (a sender that knows the statistic loss
-  /// probability, as the paper assumes, may set it).
+  /// probability, as the paper assumes, may set it). p in [0, 1];
+  /// expected_rt() and expected_edt() clamp a dead path's 1 to 0.99.
   void set_loss_hint(double p);
 
   /// tau_f: time since the first (oldest) unacknowledged segment was

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace fmtcp::net {
 namespace {
 
@@ -30,6 +32,21 @@ TEST(BernoulliLoss, ZeroNeverDrops) {
   BernoulliLoss model(0.0);
   Rng rng(3);
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(model.should_drop(0, rng));
+}
+
+// Rate 1 is a dead path: every packet is erased, at any time.
+TEST(BernoulliLoss, OneDropsEveryPacket) {
+  const std::unique_ptr<LossModel> model = make_bernoulli(1.0);
+  Rng rng(11);
+  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(model->should_drop(i, rng));
+  EXPECT_EQ(model->current_rate(0), 1.0);
+}
+
+TEST(TimeVaryingLoss, DeadStepDropsEveryPacket) {
+  TimeVaryingLoss model({{0, 0.0}, {100, 1.0}});
+  Rng rng(13);
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(model.should_drop(50, rng));
+  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(model.should_drop(100 + i, rng));
 }
 
 TEST(TimeVaryingLoss, SwitchesAtBoundaries) {

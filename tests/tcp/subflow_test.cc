@@ -255,6 +255,20 @@ TEST(Subflow, LossHintSeedsEstimate) {
   EXPECT_DOUBLE_EQ(h.subflow.loss_estimate(), 0.25);
 }
 
+// A dead path's hint of 1 is accepted; the expected-time formulas
+// clamp it, so EAT-driven schedulers still see finite times.
+TEST(Subflow, DeadPathHintKeepsExpectedTimesFinite) {
+  Harness h(50, {}, false);
+  h.subflow.notify_send_opportunity();
+  h.run();
+  h.subflow.set_loss_hint(1.0);
+  EXPECT_EQ(h.subflow.loss_estimate(), 1.0);
+  EXPECT_GT(h.subflow.expected_rt(), 0);
+  EXPECT_LE(h.subflow.expected_rt(), h.subflow.rto());
+  EXPECT_GT(h.subflow.expected_edt(), h.subflow.expected_rt());
+  EXPECT_LT(h.subflow.expected_edt(), kNever);
+}
+
 TEST(Subflow, EatEqualsEdtWithWindowSpace) {
   Harness h(0, {}, false);  // Nothing to send: window stays open.
   h.subflow.notify_send_opportunity();

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """fmtcp_sim must reject malformed and out-of-range flag values with exit
-status 2 and a message naming the flag, and must run a surge schedule
-that starts at t=0.
+status 2 and a message naming the flag, must run a surge schedule that
+starts at t=0, and must run every protocol over a dead path (loss rate
+1, the top of the [0,1] range).
 
     fmtcp_sim_flags_test.py FMTCP_SIM
 """
@@ -13,10 +14,10 @@ BAD_VALUES = [
     ("--surge=5:abc", "--surge"),
     ("--surge=5", "--surge"),
     ("--surge=2:0.1,1:0.2", "--surge"),
-    ("--surge=5:1.0", "--surge"),
+    ("--surge=5:1.5", "--surge"),
     ("--duration=0", "--duration"),
     ("--duration=-1", "--duration"),
-    ("--loss2=1.0", "--loss2"),
+    ("--loss2=1.01", "--loss2"),
     ("--loss1=-0.1", "--loss1"),
     ("--delay2=-5", "--delay2"),
     ("--bandwidth_mbps=0", "--bandwidth_mbps"),
@@ -60,6 +61,19 @@ def main(argv):
     if good.returncode != 0:
         failures.append(f"--surge=0:0.3,2:0.1: exit {good.returncode}, "
                         f"stderr {good.stderr.strip()!r}")
+    # Path death: path 2 loses every packet, from the start or from a
+    # surge step at 5 s on.
+    for protocol in ("fmtcp", "mptcp", "hmtp", "fixedrate"):
+        for death, duration in (("--loss2=1.0", 5), ("--surge=5:1.0", 10)):
+            dead = run(sim, f"--protocol={protocol}", death,
+                       f"--duration={duration}")
+            if dead.returncode != 0:
+                failures.append(f"--protocol={protocol} {death}: exit "
+                                f"{dead.returncode}, stderr "
+                                f"{dead.stderr.strip()!r}")
+            elif protocol == "fmtcp" and "payload verified" not in dead.stdout:
+                failures.append(f"--protocol=fmtcp {death}: no "
+                                f"'payload verified' in {dead.stdout!r}")
     for failure in failures:
         print(failure)
     return 1 if failures else 0

@@ -71,11 +71,11 @@ std::vector<net::TimeVaryingLoss::Step> parse_surge(
     const bool ok = colon != item.c_str() && *colon == ':' &&
                     end != colon + 1 && *end == '\0' && in_range &&
                     (steps.empty() || start > steps.back().start) &&
-                    rate >= 0.0 && rate < 1.0;
+                    rate >= 0.0 && rate <= 1.0;
     if (!ok) {
       std::fprintf(stderr,
                    "bad --surge entry '%s' (want t:rate, t >= 0 and "
-                   "increasing, rate in [0,1))\n",
+                   "increasing, rate in [0,1])\n",
                    item.c_str());
       std::exit(2);
     }
@@ -138,11 +138,11 @@ int main(int argc, char** argv) {
   scenario.path1.delay_ms =
       flags.get_double("delay1", 100.0, "path-1 one-way delay (ms)");
   scenario.path1.loss =
-      flags.get_double("loss1", 0.0, "path-1 loss rate [0,1)");
+      flags.get_double("loss1", 0.0, "path-1 loss rate [0,1] (1 = dead path)");
   scenario.path2.delay_ms =
       flags.get_double("delay2", 100.0, "path-2 one-way delay (ms)");
   scenario.path2.loss =
-      flags.get_double("loss2", 0.1, "path-2 loss rate [0,1)");
+      flags.get_double("loss2", 0.1, "path-2 loss rate [0,1] (1 = dead path)");
   const double bandwidth_mbps =
       flags.get_double("bandwidth_mbps", 5.0, "per-path rate (Mb/s)");
   scenario.bandwidth_Bps = bandwidth_mbps * 1e6 / 8.0;
@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
   scenario.seed = static_cast<std::uint64_t>(
       flags.get_int("seed", 1, "RNG seed (reproducible runs)"));
 
-  const std::string surge =
-      flags.get_string("surge", "", "path-2 loss schedule t:rate,...");
+  const std::string surge = flags.get_string(
+      "surge", "", "path-2 loss schedule t:rate,... (rate in [0,1])");
   if (!surge.empty()) {
     scenario.path2_loss_schedule =
         parse_surge(surge, scenario.path2.loss);
@@ -225,10 +225,10 @@ int main(int argc, char** argv) {
   require(scenario.path2.delay_ms >= 0 &&
               scenario.path2.delay_ms <= kMaxSeconds * 1e3,
           "delay2", "in [0, 1e12] ms");
-  require(scenario.path1.loss >= 0 && scenario.path1.loss < 1, "loss1",
-          "in [0,1)");
-  require(scenario.path2.loss >= 0 && scenario.path2.loss < 1, "loss2",
-          "in [0,1)");
+  require(scenario.path1.loss >= 0 && scenario.path1.loss <= 1, "loss1",
+          "in [0,1]");
+  require(scenario.path2.loss >= 0 && scenario.path2.loss <= 1, "loss2",
+          "in [0,1]");
   // At 0.001 Mb/s a full packet serialises in about 10 s; much slower
   // rates overflow the clock.
   require(bandwidth_mbps >= 0.001, "bandwidth_mbps", ">= 0.001");
