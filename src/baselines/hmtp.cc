@@ -1,7 +1,5 @@
 #include "baselines/hmtp.h"
 
-#include <map>
-
 #include "common/check.h"
 
 namespace fmtcp::baselines {
@@ -52,6 +50,7 @@ std::optional<tcp::SegmentContent> HmtpSender::next_segment(
 
   tcp::SegmentContent content;
   content.payload_bytes = count * wire;
+  content.symbols.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     content.symbols.push_back(block->encoder.next_symbol());
   }
@@ -67,21 +66,13 @@ std::optional<tcp::SegmentContent> HmtpSender::retransmit_segment(
 void HmtpSender::on_segment_acked(std::uint32_t subflow,
                                   std::uint64_t /*seq*/,
                                   const tcp::SegmentContent& content) {
-  std::map<net::BlockId, std::uint32_t> per_block;
-  for (const net::EncodedSymbol& s : content.symbols) ++per_block[s.block];
-  for (const auto& [block, count] : per_block) {
-    blocks_.on_symbols_acked(block, subflow, count);
-  }
+  blocks_.account_symbols(content.symbols, subflow, /*acked=*/true);
 }
 
 void HmtpSender::on_segment_lost(std::uint32_t subflow,
                                  std::uint64_t /*seq*/,
                                  const tcp::SegmentContent& content) {
-  std::map<net::BlockId, std::uint32_t> per_block;
-  for (const net::EncodedSymbol& s : content.symbols) ++per_block[s.block];
-  for (const auto& [block, count] : per_block) {
-    blocks_.on_symbols_lost(block, subflow, count);
-  }
+  blocks_.account_symbols(content.symbols, subflow, /*acked=*/false);
 }
 
 void HmtpSender::on_ack_info(std::uint32_t /*subflow*/,

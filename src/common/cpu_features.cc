@@ -13,9 +13,6 @@ CpuFeatures detect() {
   f.sse2 = __builtin_cpu_supports("sse2");        // NOLINT-DETERMINISM(kernel dispatch only; all variants bit-identical)
   f.ssse3 = __builtin_cpu_supports("ssse3");      // NOLINT-DETERMINISM(kernel dispatch only; all variants bit-identical)
   f.avx2 = __builtin_cpu_supports("avx2");        // NOLINT-DETERMINISM(kernel dispatch only; all variants bit-identical)
-  f.avx512f = __builtin_cpu_supports("avx512f");  // NOLINT-DETERMINISM(kernel dispatch only; all variants bit-identical)
-  f.avx512bw = __builtin_cpu_supports("avx512bw");      // NOLINT-DETERMINISM(kernel dispatch only; all variants bit-identical)
-  f.avx512vbmi = __builtin_cpu_supports("avx512vbmi");  // NOLINT-DETERMINISM(kernel dispatch only; all variants bit-identical)
 #elif defined(__aarch64__)
   f.neon = true;  // Advanced SIMD is architecturally baseline on AArch64.
 #endif
@@ -38,9 +35,6 @@ std::string cpu_features_string() {
            std::pair<bool, const char*>{f.sse2, "sse2"},
            {f.ssse3, "ssse3"},
            {f.avx2, "avx2"},
-           {f.avx512f, "avx512f"},
-           {f.avx512bw, "avx512bw"},
-           {f.avx512vbmi, "avx512vbmi"},
            {f.neon, "neon"},
        }) {
     if (!on) continue;

@@ -1,7 +1,7 @@
 // Runtime CPU feature detection for kernel dispatch.
 //
-// Queried once (cached) at first use; the GF(2) kernel plane picks the
-// widest available XOR kernel from this. Detection is inherently
+// Queried once (cached) at first use; the GF(2) and GF(256) kernel
+// planes pick the widest available kernel from this. Detection is inherently
 // machine-dependent, which is why it lives behind one narrow, documented
 // interface: every kernel variant is bit-identical XOR, so the selection
 // can never change a simulation result — only how fast it is produced.
@@ -16,9 +16,6 @@ struct CpuFeatures {
   bool sse2 = false;        ///< x86-64 baseline (always true there).
   bool ssse3 = false;       ///< PSHUFB — the GF(256) split-nibble multiply.
   bool avx2 = false;
-  bool avx512f = false;     ///< AVX-512 Foundation (512-bit XOR).
-  bool avx512bw = false;    ///< AVX-512 byte/word ops (512-bit shuffles).
-  bool avx512vbmi = false;  ///< VPERMB — 64-entry byte permute for GF(256).
   bool neon = false;        ///< AArch64 baseline (always true there).
 };
 
@@ -27,7 +24,7 @@ struct CpuFeatures {
 const CpuFeatures& cpu_features();
 
 /// Deterministically ordered comma-separated feature list, e.g.
-/// "sse2,avx2,avx512f" — recorded in BENCH_codec.json so regression
+/// "sse2,ssse3,avx2" — recorded in BENCH_codec.json so regression
 /// comparisons are like-with-like.
 std::string cpu_features_string();
 

@@ -119,6 +119,23 @@ void BlockManager::on_symbols_lost(net::BlockId id, std::uint32_t subflow,
   on_symbols_acked(id, subflow, count);  // Same accounting: leaves window.
 }
 
+void BlockManager::account_symbols(
+    const std::vector<net::EncodedSymbol>& symbols, std::uint32_t subflow,
+    bool acked) {
+  for (std::size_t i = 0; i < symbols.size();) {
+    const net::BlockId block = symbols[i].block;
+    std::size_t end = i + 1;
+    while (end < symbols.size() && symbols[end].block == block) ++end;
+    const auto count = static_cast<std::uint32_t>(end - i);
+    if (acked) {
+      on_symbols_acked(block, subflow, count);
+    } else {
+      on_symbols_lost(block, subflow, count);
+    }
+    i = end;
+  }
+}
+
 void BlockManager::on_block_ack(const net::BlockAck& ack) {
   SenderBlock* block = find(ack.block);
   if (block == nullptr) return;  // Already closed.

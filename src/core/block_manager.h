@@ -107,6 +107,12 @@ class BlockManager {
   void on_symbols_lost(net::BlockId block, std::uint32_t subflow,
                        std::uint32_t count);
 
+  /// One segment's symbols left subflow `subflow`'s window, acked or
+  /// lost: one on_symbols_acked/on_symbols_lost call per run of
+  /// same-block symbols (senders write each block's symbols as one run).
+  void account_symbols(const std::vector<net::EncodedSymbol>& symbols,
+                       std::uint32_t subflow, bool acked);
+
   /// Receiver feedback for one block (k̄_b and the decoded flag).
   void on_block_ack(const net::BlockAck& ack);
 

@@ -128,28 +128,10 @@ std::optional<tcp::SegmentContent> FmtcpSender::retransmit_segment(
   return next_segment(subflow);
 }
 
-void FmtcpSender::account_symbols(const tcp::SegmentContent& content,
-                                  std::uint32_t subflow, bool acked) {
-  // materialize() writes each block's symbols as one contiguous run.
-  const std::vector<net::EncodedSymbol>& symbols = content.symbols;
-  for (std::size_t i = 0; i < symbols.size();) {
-    const net::BlockId block = symbols[i].block;
-    std::size_t end = i + 1;
-    while (end < symbols.size() && symbols[end].block == block) ++end;
-    const auto count = static_cast<std::uint32_t>(end - i);
-    if (acked) {
-      blocks_.on_symbols_acked(block, subflow, count);
-    } else {
-      blocks_.on_symbols_lost(block, subflow, count);
-    }
-    i = end;
-  }
-}
-
 void FmtcpSender::on_segment_acked(std::uint32_t subflow,
                                    std::uint64_t /*seq*/,
                                    const tcp::SegmentContent& content) {
-  account_symbols(content, subflow, /*acked=*/true);
+  blocks_.account_symbols(content.symbols, subflow, /*acked=*/true);
   if (obs_ != nullptr && content.predicted_arrival > 0) {
     // The ACK confirms arrival one reverse trip after the data landed;
     // compare prediction against the ACK time (the sender-observable
@@ -167,7 +149,7 @@ void FmtcpSender::on_segment_acked(std::uint32_t subflow,
 void FmtcpSender::on_segment_lost(std::uint32_t subflow,
                                   std::uint64_t /*seq*/,
                                   const tcp::SegmentContent& content) {
-  account_symbols(content, subflow, /*acked=*/false);
+  blocks_.account_symbols(content.symbols, subflow, /*acked=*/false);
   schedule_poke();
 }
 

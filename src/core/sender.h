@@ -70,8 +70,6 @@ class FmtcpSender final : public tcp::SegmentProvider, public AllocatorEnv {
  private:
   tcp::SegmentContent materialize(const PacketPlan& plan,
                                   std::uint32_t subflow);
-  void account_symbols(const tcp::SegmentContent& content,
-                       std::uint32_t subflow, bool acked);
 
   /// Schedules a coalesced zero-delay event that re-offers a send
   /// opportunity to every subflow. Called whenever allocation inputs

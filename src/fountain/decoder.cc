@@ -88,31 +88,7 @@ bool BlockDecoder::add_symbol(const BitVector& coeffs, AlignedBytes&& data) {
   // Reduce against existing pivot rows until the leading bit is free —
   // coefficients and composition only; payload bytes are untouched.
   std::uint64_t words = 0;
-  std::size_t pivot;
-  if (symbols_ <= 64) {
-    // One-word fast path: both halves live in registers across the whole
-    // reduction, instead of being reloaded every iteration (the compiler
-    // cannot prove the scratch record and the arena don't alias). The
-    // scan walks set bits of cw & present directly, so every iteration
-    // eliminates and the loop branch stays predictable.
-    std::uint64_t cw = scratch_row_[0];
-    std::uint64_t pv = scratch_row_[1];
-    std::uint64_t m = cw & present_[0];
-    while (m != 0) {
-      const auto p = static_cast<std::size_t>(std::countr_zero(m));
-      const std::uint64_t* prow = row(p);
-      cw ^= prow[0];
-      pv ^= prow[1];
-      words += 2;
-      m = cw & present_[0];
-    }
-    pivot = cw != 0 ? static_cast<std::size_t>(std::countr_zero(cw))
-                    : symbols_;
-    scratch_row_[0] = cw;
-    scratch_row_[1] = pv;
-  } else {
-    pivot = reduce_record(words);
-  }
+  const std::size_t pivot = reduce_record(words);
   coeff_word_xors_ += words;
 
   if (pivot >= symbols_) {
@@ -168,30 +144,8 @@ const BlockData& BlockDecoder::decode(DecodeScratch& scratch) {
   FMTCP_SPAN_ARG("codec.decode", symbols_);
 
   const std::size_t k = symbols_;
-  std::uint64_t words = 0;
   BlockData out(symbols_, symbol_bytes_);
-  if (symbols_ <= 64) {
-    // One-word fast path (registers; see add_symbol). When row q is
-    // processed every row p > q is already the singleton {p}, so
-    // eliminating bit p XORs row p's composition only.
-    for (std::size_t q = symbols_; q-- > 0;) {
-      FMTCP_DCHECK(has_pivot(q));
-      std::uint64_t* r = row(q);
-      std::uint64_t rest = r[0] ^ (1ULL << q);
-      if (rest == 0) continue;
-      std::uint64_t pv = r[1];
-      while (rest != 0) {
-        const auto p = static_cast<std::size_t>(std::countr_zero(rest));
-        rest &= rest - 1;
-        pv ^= row(p)[1];
-        ++words;
-      }
-      r[1] = pv;
-      r[0] = 1ULL << q;
-    }
-  } else {
-    words += solve_symbolic_blocked(scratch);
-  }
+  const std::uint64_t words = solve_symbolic_blocked(scratch);
   scratch.comp_ptrs_.resize(k);
   scratch.dst_ptrs_.resize(k);
   for (std::size_t q = 0; q < k; ++q) {
@@ -214,39 +168,92 @@ const BlockData& BlockDecoder::decode(DecodeScratch& scratch) {
 }
 
 std::size_t BlockDecoder::reduce_record(std::uint64_t& words) {
-  // Narrow records (k̂ ≤ 256) reduce fastest fully register-resident;
-  // wider ones leave the off-chain half to the dispatched kernel's
-  // fused reduce, whose vector width covers the record in a few ops.
   switch (coeff_words_) {
+    case 1: return reduce_record_impl<1>(words);
     case 2: return reduce_record_impl<2>(words);
     case 3: return reduce_record_impl<3>(words);
-    case 4: return reduce_record_impl<0>(words);
+    case 4: return reduce_record_impl<4>(words);
+    case 6: return reduce_record_impl<6>(words);
+    case 8: return reduce_record_impl<8>(words);
     default: return reduce_record_impl<0>(words);
   }
 }
 
 template <std::size_t WC>
 std::size_t BlockDecoder::reduce_record_impl(std::uint64_t& words) {
+  // The scan iterates set bits of rec & present directly — every loop
+  // iteration is a real elimination, so the loop branch is predictable
+  // (free set bits never enter the mask). Eliminating at pivot p only
+  // touches bits ≥ p, so the recomputed mask advances monotonically and
+  // the row ends fully reduced against all pivots; its lowest surviving
+  // bit is the new (free) pivot position.
   if constexpr (WC == 0) {
-    // Uncommon width: the dispatched kernel's fused reduce runs the
-    // whole eliminate-and-rescan loop in one call.
+    // Uncommon width: the record stays in scratch_row_, and the
+    // off-chain rest of each step is one dispatched-kernel XOR.
+    const Gf2KernelOps& ops = gf2_kernel();
+    const std::uint64_t* arena = rows_.data();
+    const std::uint64_t* pres = present_.data();
+    std::uint64_t* rec = scratch_row_.data();
     std::size_t steps = 0;
-    const std::size_t pivot = gf2_kernel().reduce_row(
-        scratch_row_.data(), rows_.data(), present_.data(), symbols_,
-        coeff_words_, stride_words_, &steps);
+    for (std::size_t w = 0; w < coeff_words_; ++w) {
+      std::uint64_t cur = rec[w];
+      const std::uint64_t pw = pres[w];
+      std::uint64_t m = cur & pw;
+      while (m != 0) {
+        const std::size_t p =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+        const std::uint64_t* pr = arena + p * stride_words_;
+        ++steps;
+        cur ^= pr[w];
+        ops.xor_bytes_raw(reinterpret_cast<std::uint8_t*>(rec + w + 1),
+                          reinterpret_cast<const std::uint8_t*>(pr + w + 1),
+                          (stride_words_ - w - 1) * sizeof(std::uint64_t));
+        m = cur & pw;
+      }
+      rec[w] = cur;
+    }
     words += steps * stride_words_;
-    return pivot;
+  } else if constexpr (WC >= 4) {
+    // Past three words the record no longer fits the general-purpose
+    // registers, so it is WC 16-byte vectors, and each step XORs the
+    // whole pivot row into it. Pivot row p is zero below word p / 64, so
+    // the extra words XOR nothing, and a fixed-size XOR unrolls into
+    // straight-line vector ops on registers. The scan word keeps its own
+    // scalar chain; the vector copy of it stays equal to it.
+    using Pair = std::uint64_t __attribute__((vector_size(16)));
+    constexpr std::size_t kStride = 2 * WC;
+    const std::uint64_t* arena = rows_.data();
+    const std::uint64_t* pres = present_.data();
+    Pair rec[WC];
+    std::memcpy(rec, scratch_row_.data(), sizeof(rec));
+    std::size_t steps = 0;
+#pragma GCC unroll 8
+    for (std::size_t w = 0; w < WC; ++w) {
+      std::uint64_t cur = rec[w / 2][w % 2];
+      const std::uint64_t pw = pres[w];
+      std::uint64_t m = cur & pw;
+      while (m != 0) {
+        const std::size_t p =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+        const std::uint64_t* pr = arena + p * kStride;
+        ++steps;
+        cur ^= pr[w];
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < WC; ++j) {
+          Pair row_pair;
+          std::memcpy(&row_pair, pr + 2 * j, sizeof(row_pair));
+          rec[j] ^= row_pair;
+        }
+        m = cur & pw;
+      }
+    }
+    std::memcpy(scratch_row_.data(), rec, sizeof(rec));
+    words += steps * stride_words_;
   } else {
     // The whole fused record lives in a constant-size local array the
     // compiler keeps in registers, so the serial chain per step is just
     // load-XOR-ctz: no store-to-load round trip through the scratch
-    // row. The scan iterates set bits of rec & present directly — every
-    // loop iteration is a real elimination, so the loop branch is
-    // predictable (free set bits never enter the mask). Eliminating at
-    // pivot p only touches bits ≥ p, so the recomputed mask advances
-    // monotonically and the row ends fully reduced against all pivots;
-    // its lowest surviving bit is the new (free) pivot position.
-    // Records have compile-time stride 2·WC, so the row
+    // row. Records have compile-time stride 2·WC, so the row
     // address is a shift, not an imul, on the serial address chain; the
     // unrolled word loop makes every rec index a constant, letting the
     // scan word live in a register across the whole inner loop.
@@ -283,10 +290,18 @@ std::size_t BlockDecoder::reduce_record_impl(std::uint64_t& words) {
     words += steps * stride_words_;
     return pivot;
   }
+  for (std::size_t w = 0; w < coeff_words_; ++w) {
+    if (scratch_row_[w] != 0) {
+      return w * 64 +
+             static_cast<std::size_t>(std::countr_zero(scratch_row_[w]));
+    }
+  }
+  return symbols_;
 }
 
 std::uint64_t BlockDecoder::solve_symbolic_blocked(DecodeScratch& scratch) {
   switch (coeff_words_) {
+    case 1: return solve_symbolic_blocked_impl<1>(scratch);
     case 2: return solve_symbolic_blocked_impl<2>(scratch);
     case 3: return solve_symbolic_blocked_impl<3>(scratch);
     case 4: return solve_symbolic_blocked_impl<4>(scratch);

@@ -18,15 +18,14 @@
 //
 // Storage is a flat fused row arena: pivot row p is one record of
 // `stride_words` 64-bit words at rows_[p * stride_words] — coefficient
-// half first, composition half immediately after — so one fused
-// kernel XOR (gf2_kernels.h reduce_row) eliminates both halves per step
-// with no per-row allocation and no per-step function-call overhead.
+// half first, composition half immediately after — so one loop
+// (reduce_record) eliminates both halves per step with no per-row
+// allocation, for every k̂.
 //
-// decode() back-substitutes on the symbolic rows — whole rows in two
-// registers for k̂ ≤ 64, a blocked (8-column) method-of-four-Russians
-// triangular solve above — then composes the payloads by direct sparse
-// XOR or adaptive 4/8-bit group tables. Every choice depends only on k̂
-// and the symbol stream, never on the machine.
+// decode() back-substitutes on the symbolic rows with a blocked
+// (8-column) method-of-four-Russians triangular solve, then composes the
+// payloads by direct sparse XOR or adaptive 4/8-bit group tables. Every
+// choice depends only on k̂ and the symbol stream, never on the machine.
 #pragma once
 
 #include <cstddef>
@@ -149,11 +148,13 @@ class BlockDecoder {
   std::uint64_t solve_symbolic_blocked_impl(DecodeScratch& scratch);
 
   /// Reduces the incoming record in scratch_row_ against the pivot
-  /// rows. Constant-W instantiations keep the whole fused record in
-  /// registers across the scan (no store-to-load stalls on the serial
-  /// eliminate-and-rescan chain); the runtime-width fallback uses the
-  /// dispatched kernel's fused reduce_row. Returns the free pivot (or k̂
-  /// if redundant) and adds to `words`.
+  /// rows. Constant-W instantiations (W = 1, 2, 3, 4, 6, 8) keep the
+  /// whole fused record in registers across the scan (general-purpose
+  /// up to W = 3, 16-byte vectors above), so the serial
+  /// eliminate-and-rescan chain has no store-to-load stalls; WC = 0 is
+  /// the runtime-width loop, which XORs each step's off-chain words with
+  /// the dispatched kernel. Returns the free pivot (or k̂ if redundant)
+  /// and adds to `words`.
   std::size_t reduce_record(std::uint64_t& words);
   template <std::size_t WC>
   std::size_t reduce_record_impl(std::uint64_t& words);

@@ -1,33 +1,25 @@
 // Runtime-dispatched GF(256) multiply kernel plane.
 //
 // The byte-coefficient sibling of gf2_kernels.h: one kernel table per
-// instruction set (scalar always; SSSE3/AVX2/AVX-512VBMI on x86-64, NEON
-// on AArch64), compiled into every build via per-function target
-// attributes and picked at runtime. All variants compute the multiply
-// through the same constexpr split-nibble tables (fountain/gf256.h), so
-// every variant is bit-identical: dispatch changes throughput only,
-// never a codec result.
+// instruction set (scalar always; SSSE3/AVX2 on x86-64, NEON on AArch64),
+// compiled into every build via per-function target attributes and
+// picked at runtime. All variants compute the multiply through the same
+// constexpr split-nibble tables (fountain/gf256.h), so every variant is
+// bit-identical: dispatch changes throughput only, never a codec result.
 //
 // The SIMD trick is the classic table-driven galois multiply: for a
 // constant c, two 16-entry tables T_lo[n] = c·n and T_hi[n] = c·(n<<4)
 // fit one vector register each, and c·v = T_lo[v & 0xF] ^ T_hi[v >> 4]
-// becomes two byte shuffles (PSHUFB / VPERMB / vtbl) plus an XOR — 16,
-// 32, or 64 products per instruction pair instead of one table walk per
-// byte.
+// becomes two byte shuffles (PSHUFB / vtbl) plus an XOR — 16 or 32
+// products per instruction pair instead of one table walk per byte.
 //
-// Selection, once at first use (shared FMTCP_FORCE_KERNEL variable with
-// the GF(2) plane so one env var pins the whole process):
-//   1. FMTCP_FORCE_KERNEL=scalar|ssse3|avx2|avx512|neon — exact kernel,
-//      loud abort if unknown or unavailable. "sse2" (a GF(2) name) is
-//      accepted as an alias for scalar: pre-SSSE3 x86 has no PSHUFB, so
-//      the scalar table walk IS the SSE2-era GF(256) kernel.
-//      Note the "avx512" gate differs per plane: GF(2) needs AVX-512F
-//      only, GF(256) needs BW+VBMI (VPERMB) — forcing avx512 on an
-//      F-only part aborts here rather than benchmarking the wrong thing.
-//   2. Otherwise the widest kernel the CPU supports (common/cpu_features);
-//      AVX2 is preferred over AVX-512 by default for the same frequency-
-//      licensing reason as the GF(2) plane.
-// Builds configured with -DFMTCP_SIMD=OFF compile the scalar table only.
+// Selection (kernel_dispatch.h, shared with the GF(2) plane so one
+// FMTCP_FORCE_KERNEL value pins the whole process): the kernel
+// FMTCP_FORCE_KERNEL=scalar|sse2|ssse3|avx2|neon names, else the widest
+// the CPU supports (common/cpu_features). "sse2" (a GF(2) name) is an
+// alias for scalar here: pre-SSSE3 x86 has no PSHUFB, so the scalar
+// table walk IS the SSE2-era GF(256) kernel. Builds configured with
+// -DFMTCP_SIMD=OFF compile the scalar table only.
 //
 // Alignment contract: unaligned-tolerant loads throughout; 64-byte
 // aligned buffers (common/aligned.h) are the fast path, not a
@@ -43,9 +35,9 @@ namespace fmtcp::fountain {
 /// One instruction-set variant of the GF(256) multiply kernel family.
 /// All function pointers are non-null; all variants are bit-identical.
 struct Gf256KernelOps {
-  /// Stable lowercase identifier ("scalar", "ssse3", "avx2", "avx512",
-  /// "neon") — the FMTCP_FORCE_KERNEL vocabulary and what
-  /// BENCH_codec.json records as "gf256_kernel".
+  /// Stable lowercase identifier ("scalar", "ssse3", "avx2", "neon") —
+  /// the FMTCP_FORCE_KERNEL vocabulary and what BENCH_codec.json records
+  /// as "gf256_kernel".
   const char* name;
 
   /// dst[0..size) ^= c · src[0..size). c == 0 is a no-op; c == 1 takes
@@ -75,7 +67,8 @@ const Gf256KernelOps& gf256_kernel();
 const Gf256KernelOps& gf256_scalar_kernel();
 
 /// Every kernel usable in this build on this CPU, deterministically
-/// ordered narrowest first (scalar, ssse3, avx2, avx512 / neon).
+/// ordered narrowest first (scalar, ssse3, avx2 / neon); the last entry
+/// is the default pick.
 std::vector<const Gf256KernelOps*> gf256_available_kernels();
 
 /// Switches the active kernel by name (accepts the "sse2" alias for

@@ -1,12 +1,7 @@
 #include "fountain/gf2_kernels.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-
 #include "common/cpu_features.h"
+#include "fountain/kernel_dispatch.h"
 
 #if (defined(__x86_64__) || defined(__i386__)) && !defined(FMTCP_SIMD_DISABLED)
 #define FMTCP_HAVE_X86_SIMD 1
@@ -54,15 +49,6 @@ namespace {
 #define FMTCP_VXOR(a, b) _mm256_xor_si256((a), (b))
 #include "fountain/gf2_kernels_simd.inc"
 
-#define FMTCP_ISA_NS avx512_impl
-#define FMTCP_ISA_NAME "avx512"
-#define FMTCP_ISA_TARGET __attribute__((target("avx512f")))
-#define FMTCP_VEC_BYTES 64
-#define FMTCP_VLOAD(p) _mm512_loadu_si512(p)
-#define FMTCP_VSTORE(p, v) _mm512_storeu_si512((p), (v))
-#define FMTCP_VXOR(a, b) _mm512_xor_si512((a), (b))
-#include "fountain/gf2_kernels_simd.inc"
-
 #endif  // FMTCP_HAVE_X86_SIMD
 
 #if defined(FMTCP_HAVE_NEON)
@@ -78,64 +64,12 @@ namespace {
 
 #endif  // FMTCP_HAVE_NEON
 
-const Gf2KernelOps* pick_widest() {
-#if defined(FMTCP_HAVE_X86_SIMD)
-  const CpuFeatures& f = cpu_features();
-  // AVX2 is preferred over AVX-512 by default: at fountain symbol sizes
-  // (hundreds of bytes) 512-bit ops measure slower on common parts
-  // (frequency licensing), and 256-bit lanes already saturate the loads.
-  // FMTCP_FORCE_KERNEL=avx512 opts in explicitly.
-  if (f.avx2) return &avx2_impl::kOps;
-  if (f.sse2) return &sse2_impl::kOps;
-#endif
-#if defined(FMTCP_HAVE_NEON)
-  if (cpu_features().neon) return &neon_impl::kOps;
-#endif
-  return &scalar_impl::kOps;
-}
-
-const Gf2KernelOps* find_available(const char* name) {
-  for (const Gf2KernelOps* ops : gf2_available_kernels()) {
-    if (std::strcmp(ops->name, name) == 0) return ops;
-  }
-  return nullptr;
-}
-
-const Gf2KernelOps* initial_kernel() {
-  // Environment override for tests and reproducible benchmarking. An
-  // unknown or unavailable name aborts loudly rather than silently
-  // benchmarking the wrong kernel.
-  const char* force = std::getenv("FMTCP_FORCE_KERNEL");
-  if (force != nullptr && *force != '\0') {
-    if (const Gf2KernelOps* ops = find_available(force)) return ops;
-    std::string names;
-    for (const Gf2KernelOps* ops : gf2_available_kernels()) {
-      if (!names.empty()) names += ',';
-      names += ops->name;
-    }
-    std::fprintf(stderr,
-                 "FMTCP_FORCE_KERNEL=%s: unknown or unavailable GF(2) "
-                 "kernel (available: %s)\n",
-                 force, names.c_str());
-    std::abort();
-  }
-  return pick_widest();
-}
-
-std::atomic<const Gf2KernelOps*> g_active{nullptr};
+constinit detail::KernelDispatcher<Gf2KernelOps> g_dispatch{
+    "GF(2)", &gf2_available_kernels};
 
 }  // namespace
 
-const Gf2KernelOps& gf2_kernel() {
-  const Gf2KernelOps* ops = g_active.load(std::memory_order_acquire);
-  if (ops == nullptr) {
-    // Benign init race: initial_kernel() is deterministic per process
-    // environment, so concurrent first calls store the same pointer.
-    ops = initial_kernel();
-    g_active.store(ops, std::memory_order_release);
-  }
-  return *ops;
-}
+const Gf2KernelOps& gf2_kernel() { return g_dispatch.active(); }
 
 const Gf2KernelOps& gf2_scalar_kernel() { return scalar_impl::kOps; }
 
@@ -146,7 +80,6 @@ std::vector<const Gf2KernelOps*> gf2_available_kernels() {
   const CpuFeatures& f = cpu_features();
   if (f.sse2) out.push_back(&sse2_impl::kOps);
   if (f.avx2) out.push_back(&avx2_impl::kOps);
-  if (f.avx512f) out.push_back(&avx512_impl::kOps);
 #endif
 #if defined(FMTCP_HAVE_NEON)
   if (cpu_features().neon) out.push_back(&neon_impl::kOps);
@@ -154,11 +87,6 @@ std::vector<const Gf2KernelOps*> gf2_available_kernels() {
   return out;
 }
 
-bool gf2_set_kernel(const char* name) {
-  const Gf2KernelOps* ops = find_available(name);
-  if (ops == nullptr) return false;
-  g_active.store(ops, std::memory_order_release);
-  return true;
-}
+bool gf2_set_kernel(const char* name) { return g_dispatch.set(name); }
 
 }  // namespace fmtcp::fountain

@@ -1,17 +1,17 @@
 // Runtime-dispatched GF(2) XOR kernel plane.
 //
-// One kernel table per instruction set (scalar always; SSE2/AVX2/AVX-512
-// on x86-64, NEON on AArch64), compiled into every build via per-function
-// target attributes — a generic -O2 build ships the AVX2/AVX-512 paths
-// and picks at runtime. Every variant computes bit-identical XOR: the
-// dispatch decision can change throughput only, never a simulation
-// result (fig3–7 / Table I are byte-identical under any kernel).
+// One kernel table per instruction set (scalar always; SSE2/AVX2 on
+// x86-64, NEON on AArch64), compiled into every build via per-function
+// target attributes — a generic -O2 build ships the AVX2 path and picks
+// at runtime. Every variant computes bit-identical XOR: the dispatch
+// decision can change throughput only, never a simulation result
+// (fig3–7 / Table I are byte-identical under any kernel).
 //
-// Selection, once at first use:
-//   1. FMTCP_FORCE_KERNEL=scalar|sse2|avx2|avx512|neon — exact kernel,
-//      loud abort if unknown or unavailable (tests, reproducible bench).
-//   2. Otherwise the widest kernel the CPU supports (common/cpu_features).
-// Builds configured with -DFMTCP_SIMD=OFF compile the scalar table only.
+// Selection (kernel_dispatch.h, shared with the GF(256) plane): the
+// kernel FMTCP_FORCE_KERNEL=scalar|sse2|ssse3|avx2|neon names ("ssse3"
+// is an alias for sse2 here), else the widest the CPU supports
+// (common/cpu_features). Builds configured with -DFMTCP_SIMD=OFF compile
+// the scalar table only.
 //
 // Alignment contract: kernels use unaligned-tolerant loads throughout, so
 // any pointer/length is correct; 64-byte-aligned buffers (common/aligned.h)
@@ -27,9 +27,9 @@ namespace fmtcp::fountain {
 /// One instruction-set variant of the XOR kernel family. All function
 /// pointers are non-null; all variants are bit-identical.
 struct Gf2KernelOps {
-  /// Stable lowercase identifier ("scalar", "sse2", "avx2", "avx512",
-  /// "neon") — the FMTCP_FORCE_KERNEL vocabulary and what
-  /// BENCH_codec.json records.
+  /// Stable lowercase identifier ("scalar", "sse2", "avx2", "neon") —
+  /// the FMTCP_FORCE_KERNEL vocabulary and what BENCH_codec.json
+  /// records.
   const char* name;
 
   /// dst[0..size) ^= src[0..size).
@@ -46,29 +46,6 @@ struct Gf2KernelOps {
   void (*xor_accumulate)(std::uint8_t* dst,
                          const std::uint8_t* const* srcs, std::size_t n,
                          std::size_t size);
-
-  /// dst[0..nwords) ^= src[0..nwords) on packed 64-bit words
-  /// (coefficient/composition rows). No overlap.
-  void (*xor_words)(std::uint64_t* dst, const std::uint64_t* src,
-                    std::size_t nwords);
-
-  /// Fully reduces `row` against the pivot rows of a flat row arena:
-  /// on return no coefficient bit of `row` coincides with a present
-  /// pivot. `row` is one record of `stride_words` 64-bit words whose
-  /// first `coeff_words` words are the k-bit coefficient vector (padding
-  /// bits zero); the remainder (composition half) is carried through
-  /// each fused XOR. `rows` holds k records of the same stride;
-  /// `present` is a bitmap of which pivots exist. Relies on pivot row p
-  /// having its lowest set bit at p, so eliminating at p only disturbs
-  /// bits ≥ p and the hit mask (row & present) advances monotonically
-  /// within each word. Returns the lowest surviving coefficient bit —
-  /// the free pivot the row can occupy — or k if the row reduced to
-  /// zero (redundant). `*steps` is incremented once per row XOR
-  /// (metrics).
-  std::size_t (*reduce_row)(std::uint64_t* row, const std::uint64_t* rows,
-                            const std::uint64_t* present, std::size_t k,
-                            std::size_t coeff_words,
-                            std::size_t stride_words, std::size_t* steps);
 };
 
 /// The active kernel table (selected on first call, then stable for the
@@ -81,13 +58,14 @@ const Gf2KernelOps& gf2_kernel();
 const Gf2KernelOps& gf2_scalar_kernel();
 
 /// Every kernel usable in this build on this CPU, deterministically
-/// ordered narrowest first (scalar, sse2, avx2, avx512 / neon).
+/// ordered narrowest first (scalar, sse2, avx2 / neon); the last entry
+/// is the default pick.
 std::vector<const Gf2KernelOps*> gf2_available_kernels();
 
-/// Switches the active kernel by name. Returns false (no change) if the
-/// name is unknown or the kernel is unavailable here. Test hook; not
-/// thread-safe against concurrent kernel calls by design — callers
-/// switch only between decode runs.
+/// Switches the active kernel by name (accepts the "ssse3" alias for
+/// sse2). Returns false (no change) if the name is unknown or the kernel
+/// is unavailable here. Test hook; not thread-safe against concurrent
+/// kernel calls by design — callers switch only between decode runs.
 bool gf2_set_kernel(const char* name);
 
 }  // namespace fmtcp::fountain

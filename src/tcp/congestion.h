@@ -36,6 +36,10 @@ class CongestionControl {
   /// Retransmission timeout fired.
   virtual void on_timeout() = 0;
 
+  /// The subflow's smoothed RTT after each sample. Only coupled
+  /// controllers (LIA) read it.
+  virtual void set_rtt(SimTime /*srtt*/) {}
+
   virtual bool in_slow_start() const { return cwnd() < ssthresh(); }
 };
 
@@ -143,7 +147,7 @@ class LiaCc final : public CongestionControl {
 
   /// The subflow feeds its smoothed RTT here so the group can compute
   /// alpha; defaults to 100 ms until the first report.
-  void set_rtt(SimTime srtt);
+  void set_rtt(SimTime srtt) override;
   SimTime rtt() const { return srtt_; }
 
  private:

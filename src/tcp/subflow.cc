@@ -127,9 +127,7 @@ void Subflow::on_ack_packet(net::Packet ack) {
     const SimTime sample = simulator_.now() - ack.echo_sent_at;
     rtt_.add_sample(sample);
     obs_rtt_ms_.observe(to_ms(sample));
-    if (auto* lia = dynamic_cast<LiaCc*>(cc_.get())) {
-      lia->set_rtt(rtt_.srtt());
-    }
+    cc_->set_rtt(rtt_.srtt());
   }
 
   if (config_.enable_sack) absorb_sack_ranges(ack);

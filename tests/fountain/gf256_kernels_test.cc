@@ -178,6 +178,7 @@ TEST(Gf256KernelDispatch, SetKernelSwitchesAndRejectsUnknown) {
   KernelGuard guard;
   EXPECT_FALSE(gf256_set_kernel("mmx"));
   EXPECT_FALSE(gf256_set_kernel(""));
+  EXPECT_FALSE(gf256_set_kernel("avx512"));
   for (const Gf256KernelOps* ops : gf256_available_kernels()) {
     ASSERT_TRUE(gf256_set_kernel(ops->name));
     EXPECT_STREQ(gf256_kernel().name, ops->name);

@@ -8,11 +8,9 @@
 
 #include <cstdint>
 #include <ostream>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/aligned.h"
 #include "common/rng.h"
 #include "fountain/gf2_kernels.h"
 
@@ -107,77 +105,6 @@ TEST_P(KernelEquivalence, XorAccumulateMatchesScalarAllFanIns) {
   }
 }
 
-TEST_P(KernelEquivalence, XorWordsMatchesScalar) {
-  const Gf2KernelOps& ops = *GetParam();
-  const Gf2KernelOps& ref = gf2_scalar_kernel();
-  Rng rng(123);
-  for (std::size_t nwords = 0; nwords <= 33; ++nwords) {
-    std::vector<std::uint64_t> src(nwords + 1), got(nwords + 1),
-        want(nwords + 1);
-    for (auto& w : src) w = rng.next_u64();
-    for (std::size_t i = 0; i < got.size(); ++i) got[i] = want[i] = rng.next_u64();
-    ops.xor_words(got.data(), src.data(), nwords);
-    ref.xor_words(want.data(), src.data(), nwords);
-    ASSERT_EQ(got, want) << ops.name << " nwords=" << nwords;
-  }
-}
-
-/// Builds a random pivot arena in reduced form (pivot row p has lowest
-/// bit p, and only bits ≥ p set) plus its present bitmap, then checks
-/// reduce_row against the scalar reference: identical record bytes,
-/// identical returned pivot, identical step count.
-TEST_P(KernelEquivalence, ReduceRowMatchesScalar) {
-  const Gf2KernelOps& ops = *GetParam();
-  const Gf2KernelOps& ref = gf2_scalar_kernel();
-  Rng rng(31337);
-  for (std::uint32_t k : {8u, 64u, 65u, 128u, 256u, 320u, 512u}) {
-    const std::size_t cw = (k + 63) / 64;
-    for (std::size_t stride : {cw, 2 * cw}) {  // Coefficients alone, fused.
-      AlignedWords arena(k * stride);
-      std::vector<std::uint64_t> present(cw, 0);
-      for (std::uint32_t p = 0; p < k; ++p) {
-        if (!rng.bernoulli(0.7)) continue;  // Leave some pivots absent.
-        present[p >> 6] |= 1ULL << (p & 63);
-        std::uint64_t* rec = arena.data() + p * stride;
-        rec[p >> 6] |= 1ULL << (p & 63);
-        for (std::uint32_t b = p + 1; b < k; ++b) {
-          if (rng.bernoulli(0.4)) rec[b >> 6] |= 1ULL << (b & 63);
-        }
-        for (std::size_t w = cw; w < stride; ++w) rec[w] = rng.next_u64();
-      }
-      for (int trial = 0; trial < 32; ++trial) {
-        AlignedWords got(stride), want(stride);
-        for (std::size_t w = 0; w < cw; ++w) {
-          got[w] = rng.next_u64();
-          if ((w + 1) * 64 > k) got[w] &= (1ULL << (k & 63)) - 1;
-        }
-        for (std::size_t w = cw; w < stride; ++w) got[w] = rng.next_u64();
-        std::memcpy(want.data(), got.data(), stride * 8);
-        std::size_t got_steps = 0, want_steps = 0;
-        const std::size_t got_pivot =
-            ops.reduce_row(got.data(), arena.data(), present.data(), k, cw,
-                           stride, &got_steps);
-        const std::size_t want_pivot =
-            ref.reduce_row(want.data(), arena.data(), present.data(), k, cw,
-                           stride, &want_steps);
-        ASSERT_EQ(got_pivot, want_pivot)
-            << ops.name << " k=" << k << " stride=" << stride;
-        ASSERT_EQ(got_steps, want_steps);
-        ASSERT_EQ(0, std::memcmp(got.data(), want.data(), stride * 8));
-        // Contract: fully reduced — no coefficient bit on a present pivot.
-        for (std::size_t w = 0; w < cw; ++w) {
-          ASSERT_EQ(got[w] & present[w], 0u);
-        }
-        if (got_pivot < k) {
-          ASSERT_TRUE((got[got_pivot >> 6] >> (got_pivot & 63)) & 1ULL);
-        } else {
-          ASSERT_EQ(got_pivot, k);
-        }
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllAvailable, KernelEquivalence,
     ::testing::ValuesIn(gf2_available_kernels()),
@@ -200,10 +127,27 @@ TEST(KernelDispatch, SetKernelSwitchesAndRejectsUnknown) {
   KernelGuard guard;
   EXPECT_FALSE(gf2_set_kernel("mmx"));
   EXPECT_FALSE(gf2_set_kernel(""));
+  EXPECT_FALSE(gf2_set_kernel("avx512"));
   for (const Gf2KernelOps* ops : gf2_available_kernels()) {
     ASSERT_TRUE(gf2_set_kernel(ops->name));
     EXPECT_STREQ(gf2_kernel().name, ops->name);
   }
+}
+
+TEST(KernelDispatch, Ssse3AliasSelectsSse2) {
+  // SSSE3 adds no XOR width, so the GF(256) plane's "ssse3" value maps to
+  // sse2 here — one FMTCP_FORCE_KERNEL value stays valid for both planes.
+  KernelGuard guard;
+  bool have_sse2 = false;
+  for (const Gf2KernelOps* ops : gf2_available_kernels()) {
+    have_sse2 = have_sse2 || std::string(ops->name) == "sse2";
+  }
+  if (!have_sse2) {
+    EXPECT_FALSE(gf2_set_kernel("ssse3"));
+    return;
+  }
+  ASSERT_TRUE(gf2_set_kernel("ssse3"));
+  EXPECT_STREQ(gf2_kernel().name, "sse2");
 }
 
 }  // namespace

@@ -165,7 +165,10 @@ TEST_P(LazyEagerEquivalence, RankOnlyModeTouchesZeroPayloadBytes) {
 INSTANTIATE_TEST_SUITE_P(
     Streams, LazyEagerEquivalence,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u),
-                       ::testing::Values(4u, 16u, 24u, 64u, 65u, 128u, 256u),
+                       // One k per elimination width: W = 1, 2, 4, 5
+                       // (the runtime-width loop), 6 and 8.
+                       ::testing::Values(4u, 16u, 24u, 64u, 65u, 128u, 256u,
+                                         320u, 384u, 512u),
                        ::testing::Bool()));
 
 }  // namespace

@@ -7,8 +7,9 @@
 #
 #   tools/bench.sh [build-dir]      (default: build)
 #
-# FMTCP_FORCE_KERNEL=scalar|sse2|avx2|avx512|neon pins the GF(2) kernel
-# for the codec bench (the bench records which kernel ran in the JSON).
+# FMTCP_FORCE_KERNEL=scalar|sse2|ssse3|avx2|neon pins the GF(2) and
+# GF(256) kernels for the codec bench (sse2 is GF(256)'s scalar, ssse3 is
+# GF(2)'s sse2; the bench records which kernels ran in the JSON).
 # Forced runs write BENCH_codec.<kernel>.json instead of the committed
 # baseline: BENCH_codec.json stays the native-dispatch floor the
 # tools/check.sh guard compares against, and forced files sit beside it
